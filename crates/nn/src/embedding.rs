@@ -8,6 +8,7 @@
 use crate::linear::Linear;
 use crate::param::{embedding_init, Module, Parameter};
 use etalumis_tensor::activations::{relu, relu_backward};
+use etalumis_tensor::gemm::PackedB;
 use etalumis_tensor::Tensor;
 use rand::Rng;
 
@@ -127,6 +128,16 @@ impl SampleEmbedding {
     /// Forward without caching.
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
         relu(&self.lin.forward_inference(x))
+    }
+
+    /// Pack the weight matrix for [`SampleEmbedding::forward_prepacked`].
+    pub fn pack(&self) -> PackedB {
+        self.lin.pack()
+    }
+
+    /// Forward without caching on a panel from [`SampleEmbedding::pack`].
+    pub fn forward_prepacked(&self, x: &Tensor, wp: &PackedB) -> Tensor {
+        relu(&self.lin.forward_prepacked(x, wp))
     }
 
     /// Backward; returns gradient w.r.t. the input features.

@@ -10,7 +10,7 @@
 //! pass: parameter gradients accumulate internally and the gradient w.r.t.
 //! the input features is returned for BPTT through the LSTM core.
 
-use crate::linear::Mlp2;
+use crate::linear::{Mlp2, Mlp2Panels};
 use crate::param::{Module, Parameter};
 use etalumis_distributions::math::{log_normal_cdf_diff, log_sum_exp, normal_pdf, LN_2PI};
 use etalumis_distributions::Distribution;
@@ -69,11 +69,25 @@ impl MixtureTnHead {
         (logits, weights, means, stds)
     }
 
+    /// Pack the trunk weights for [`MixtureTnHead::proposal_prepacked`].
+    pub fn pack(&self) -> Mlp2Panels {
+        self.trunk.pack()
+    }
+
     /// Proposal distribution for one feature row (inference path).
     pub fn proposal(&self, features: &Tensor, low: f64, high: f64) -> Distribution {
-        let raw = self.trunk.l2.forward_inference(&etalumis_tensor::activations::relu(
-            &self.trunk.l1.forward_inference(features),
-        ));
+        self.proposal_prepacked(features, &self.pack(), low, high)
+    }
+
+    /// [`MixtureTnHead::proposal`] on panels from [`MixtureTnHead::pack`].
+    pub fn proposal_prepacked(
+        &self,
+        features: &Tensor,
+        panels: &Mlp2Panels,
+        low: f64,
+        high: f64,
+    ) -> Distribution {
+        let raw = self.trunk.forward_prepacked(features, panels);
         let (_, weights, means, stds) = self.decode(raw.row(0), low, high);
         Distribution::MixtureTruncatedNormal { weights, means, stds, low, high }
     }
@@ -171,11 +185,19 @@ impl CategoricalHead {
         Self { trunk: Mlp2::new(rng, in_dim, hidden, num_categories), num_categories }
     }
 
+    /// Pack the trunk weights for [`CategoricalHead::proposal_prepacked`].
+    pub fn pack(&self) -> Mlp2Panels {
+        self.trunk.pack()
+    }
+
     /// Proposal distribution for one feature row.
     pub fn proposal(&self, features: &Tensor) -> Distribution {
-        let logits = self.trunk.l2.forward_inference(&etalumis_tensor::activations::relu(
-            &self.trunk.l1.forward_inference(features),
-        ));
+        self.proposal_prepacked(features, &self.pack())
+    }
+
+    /// [`CategoricalHead::proposal`] on panels from [`CategoricalHead::pack`].
+    pub fn proposal_prepacked(&self, features: &Tensor, panels: &Mlp2Panels) -> Distribution {
+        let logits = self.trunk.forward_prepacked(features, panels);
         let probs = etalumis_tensor::activations::softmax_rows(&logits);
         Distribution::Categorical { probs: probs.row(0).iter().map(|&p| p as f64).collect() }
     }
@@ -234,11 +256,19 @@ impl NormalHead {
         (mean, std)
     }
 
+    /// Pack the trunk weights for [`NormalHead::proposal_prepacked`].
+    pub fn pack(&self) -> Mlp2Panels {
+        self.trunk.pack()
+    }
+
     /// Proposal distribution for one feature row.
     pub fn proposal(&self, features: &Tensor) -> Distribution {
-        let raw = self.trunk.l2.forward_inference(&etalumis_tensor::activations::relu(
-            &self.trunk.l1.forward_inference(features),
-        ));
+        self.proposal_prepacked(features, &self.pack())
+    }
+
+    /// [`NormalHead::proposal`] on panels from [`NormalHead::pack`].
+    pub fn proposal_prepacked(&self, features: &Tensor, panels: &Mlp2Panels) -> Distribution {
+        let raw = self.trunk.forward_prepacked(features, panels);
         let (mean, std) = self.decode(raw.row(0));
         Distribution::Normal { mean, std }
     }

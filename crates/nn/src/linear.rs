@@ -6,7 +6,10 @@
 
 use crate::param::{kaiming_uniform, Module, Parameter};
 use etalumis_tensor::activations::{relu, relu_backward};
-use etalumis_tensor::gemm::{add_bias_rows, col_sums, matmul, matmul_a_bt, matmul_at_b};
+use etalumis_tensor::gemm::{
+    add_bias_rows, col_sums, matmul, matmul_a_bt, matmul_at_b, matmul_prepacked_into, pack_weights,
+    PackedB,
+};
 use etalumis_tensor::Tensor;
 use rand::Rng;
 
@@ -51,6 +54,22 @@ impl Linear {
     /// Forward without caching (inference-only path).
     pub fn forward_inference(&self, x: &Tensor) -> Tensor {
         let mut y = matmul(x, &self.w.value);
+        add_bias_rows(&mut y, self.b.value.data());
+        y
+    }
+
+    /// Pack W for [`Linear::forward_prepacked`]. The panel is a snapshot:
+    /// the caller owns it and must re-pack after W changes.
+    pub fn pack(&self) -> PackedB {
+        pack_weights(self.w.value.data(), self.in_dim(), self.out_dim())
+    }
+
+    /// Inference forward with W pre-packed by [`Linear::pack`]; bit-identical
+    /// to [`Linear::forward_inference`] while W is unchanged.
+    pub fn forward_prepacked(&self, x: &Tensor, wp: &PackedB) -> Tensor {
+        let (m, k, n) = (x.rows(), self.in_dim(), self.out_dim());
+        let mut y = Tensor::zeros(&[m, n]);
+        matmul_prepacked_into(x.data(), wp, y.data_mut(), m, k, n, false);
         add_bias_rows(&mut y, self.b.value.data());
         y
     }
@@ -119,12 +138,29 @@ impl Mlp2 {
         self.l1.backward(&dh)
     }
 
+    /// Pack both weight matrices for [`Mlp2::forward_prepacked`].
+    pub fn pack(&self) -> Mlp2Panels {
+        Mlp2Panels { l1: self.l1.pack(), l2: self.l2.pack() }
+    }
+
+    /// Inference forward on pre-packed panels, without caching.
+    pub fn forward_prepacked(&self, x: &Tensor, p: &Mlp2Panels) -> Tensor {
+        self.l2.forward_prepacked(&relu(&self.l1.forward_prepacked(x, &p.l1)), &p.l2)
+    }
+
     /// Drop cached activations.
     pub fn clear_cache(&mut self) {
         self.l1.clear_cache();
         self.l2.clear_cache();
         self.relu_cache.clear();
     }
+}
+
+/// Pre-packed weight panels of an [`Mlp2`], from [`Mlp2::pack`].
+#[derive(Debug)]
+pub struct Mlp2Panels {
+    l1: PackedB,
+    l2: PackedB,
 }
 
 impl Module for Mlp2 {
@@ -219,6 +255,18 @@ mod tests {
             xm.data_mut()[i] -= eps;
             let num = ((f(&mut mlp, &xp) - f(&mut mlp, &xm)) / (2.0 * eps as f64)) as f32;
             assert!((num - dx.data()[i]).abs() < 2e-2, "dX[{i}]: {num} vs {}", dx.data()[i]);
+        }
+    }
+
+    #[test]
+    fn prepacked_forward_is_bit_identical() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mlp = Mlp2::new(&mut rng, 7, 19, 5);
+        let panels = mlp.pack();
+        for rows in [1usize, 3] {
+            let x = rand_tensor(&mut rng, &[rows, 7]);
+            let plain = mlp.l2.forward_inference(&relu(&mlp.l1.forward_inference(&x)));
+            assert_eq!(plain.data(), mlp.forward_prepacked(&x, &panels).data());
         }
     }
 

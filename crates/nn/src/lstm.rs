@@ -4,7 +4,10 @@
 //! The IC architecture (paper §4.3) is built around an LSTM core "executed
 //! as many time steps as the simulator's probabilistic trace length". Since
 //! trace lengths vary per trace type, the *inference* API is step-wise:
-//! [`Lstm::step_inference`] once per sample statement. Training, however, is
+//! [`Lstm::step_inference`] once per sample statement, or
+//! [`Lstm::step_prepacked`] on weight panels the caller packed once with
+//! [`Lstm::pack`] (at batch 1, packing a weight matrix costs about as much
+//! as multiplying by it). Training, however, is
 //! teacher-forced (§4.4.3) — all `T` step inputs are known upfront — so
 //! [`Lstm::forward_sequence`] fuses the input projection of a whole sequence
 //! into one `[T·B, in]·[in, 4H]` GEMM per layer and only iterates the
@@ -22,8 +25,8 @@
 
 use crate::param::{xavier_uniform, Module, Parameter};
 use etalumis_tensor::gemm::{
-    add_bias_rows_slice, col_sums_acc_slice, matmul_a_bt_into, matmul_acc_into,
-    matmul_at_b_acc_into, matmul_into,
+    add_bias_rows_slice, col_sums_acc_slice, matmul_a_bt_into, matmul_at_b_acc_into,
+    matmul_prepacked_into, pack_weights, PackedB,
 };
 use etalumis_tensor::simd::Kernels;
 use etalumis_tensor::Tensor;
@@ -56,6 +59,20 @@ impl SeqArena {
         self.tanh_c.clear();
         self.steps = 0;
     }
+}
+
+/// Packed `w_ih` and `w_hh` panels of one layer.
+#[derive(Debug)]
+struct LayerPanels {
+    w_ih: PackedB,
+    w_hh: PackedB,
+}
+
+/// Pre-packed weight panels of every layer of an [`Lstm`], from
+/// [`Lstm::pack`]. A snapshot of the weights: re-pack after they change.
+#[derive(Debug)]
+pub struct LstmPanels {
+    layers: Vec<LayerPanels>,
 }
 
 /// One LSTM layer with fused gate weights (gate order: i, f, g, o).
@@ -93,11 +110,21 @@ impl LstmLayer {
         self.w_ih.value.rows()
     }
 
+    fn pack(&self) -> LayerPanels {
+        let g4 = 4 * self.hidden;
+        LayerPanels {
+            w_ih: pack_weights(self.w_ih.value.data(), self.input_size(), g4),
+            w_hh: pack_weights(self.w_hh.value.data(), self.hidden, g4),
+        }
+    }
+
     /// Run `t_steps` teacher-forced steps over `xs` (`[t_steps·B, in]`
     /// row-major, step-major), updating `(h, c)` in place. The input
     /// projection for all steps is one GEMM; the recurrent projection,
-    /// activations and state update run per step. With `train`, all
-    /// activations append to the arena.
+    /// activations and state update run per step, all on the packed panels
+    /// `p` of this layer's weights. With `train`, all activations append to
+    /// the arena.
+    #[allow(clippy::too_many_arguments)]
     fn forward_batch(
         &mut self,
         xs: &[f32],
@@ -106,6 +133,7 @@ impl LstmLayer {
         h: &mut Tensor,
         c: &mut Tensor,
         train: bool,
+        p: &LayerPanels,
     ) {
         let hsz = self.hidden;
         let in_sz = self.input_size();
@@ -115,13 +143,13 @@ impl LstmLayer {
         self.zbuf.clear();
         self.zbuf.resize(t_steps * batch * g4, 0.0);
         // Fused input projection: [T·B, in]·[in, 4H] in one GEMM.
-        matmul_into(xs, self.w_ih.value.data(), &mut self.zbuf, t_steps * batch, in_sz, g4);
+        matmul_prepacked_into(xs, &p.w_ih, &mut self.zbuf, t_steps * batch, in_sz, g4, false);
         if train {
             self.arena.x.extend_from_slice(xs);
         }
         for t in 0..t_steps {
             let z_t = &mut self.zbuf[t * batch * g4..(t + 1) * batch * g4];
-            matmul_acc_into(h.data(), self.w_hh.value.data(), z_t, batch, hsz, g4);
+            matmul_prepacked_into(h.data(), &p.w_hh, z_t, batch, hsz, g4, true);
             add_bias_rows_slice(z_t, self.b.value.data(), g4);
             // Activate in place per row: sigmoid over i|f, tanh over g,
             // sigmoid over o.
@@ -294,22 +322,47 @@ impl Lstm {
         }
     }
 
+    /// Pack every layer's weight matrices for [`Lstm::step_prepacked`].
+    pub fn pack(&self) -> LstmPanels {
+        LstmPanels { layers: self.layers.iter().map(LstmLayer::pack).collect() }
+    }
+
     /// One time step over a [B, input] batch; returns the top-layer output.
     pub fn step(&mut self, x: &Tensor, state: &mut LstmState) -> Tensor {
-        self.step_impl(x, state, true)
+        let panels = self.pack();
+        self.step_impl(x, state, true, &panels)
     }
 
     /// Step without caching (inference path).
     pub fn step_inference(&mut self, x: &Tensor, state: &mut LstmState) -> Tensor {
-        self.step_impl(x, state, false)
+        let panels = self.pack();
+        self.step_impl(x, state, false, &panels)
     }
 
-    fn step_impl(&mut self, x: &Tensor, state: &mut LstmState, train: bool) -> Tensor {
+    /// [`Lstm::step_inference`] on panels from [`Lstm::pack`]; bit-identical
+    /// to it while the weights are unchanged.
+    pub fn step_prepacked(
+        &mut self,
+        x: &Tensor,
+        state: &mut LstmState,
+        panels: &LstmPanels,
+    ) -> Tensor {
+        self.step_impl(x, state, false, panels)
+    }
+
+    fn step_impl(
+        &mut self,
+        x: &Tensor,
+        state: &mut LstmState,
+        train: bool,
+        panels: &LstmPanels,
+    ) -> Tensor {
         assert_eq!(x.cols(), self.input_size, "LSTM input size");
+        assert_eq!(panels.layers.len(), self.layers.len(), "LSTM panels per layer");
         let batch = x.rows();
         let mut cur: Vec<f32> = x.data().to_vec();
-        for (l, layer) in self.layers.iter_mut().enumerate() {
-            layer.forward_batch(&cur, 1, batch, &mut state.h[l], &mut state.c[l], train);
+        for (l, (layer, p)) in self.layers.iter_mut().zip(&panels.layers).enumerate() {
+            layer.forward_batch(&cur, 1, batch, &mut state.h[l], &mut state.c[l], train, p);
             cur.clear();
             cur.extend_from_slice(state.h[l].data());
         }
@@ -345,7 +398,10 @@ impl Lstm {
                 let ha = &head[l - 1].arena.h;
                 &ha[ha.len() - t_steps * batch * self.hidden..]
             };
-            layer.forward_batch(input, t_steps, batch, &mut state.h[l], &mut state.c[l], true);
+            // One packing per layer and call: every recurrent step reuses
+            // the `w_hh` panel.
+            let p = layer.pack();
+            layer.forward_batch(input, t_steps, batch, &mut state.h[l], &mut state.c[l], true, &p);
         }
         self.steps += t_steps;
         let ha = &self.layers[nl - 1].arena.h;
@@ -522,6 +578,21 @@ mod tests {
         let diff: f32 =
             y_with_history.data().iter().zip(y_fresh.data()).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-4);
+    }
+
+    #[test]
+    fn prepacked_steps_match_step_inference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut lstm = Lstm::new(&mut rng, 5, 6, 2);
+        let xs: Vec<Tensor> =
+            (0..4).map(|_| Tensor::from_fn(&[1, 5], |_| rng.gen_range(-1.0..1.0))).collect();
+        let panels = lstm.pack();
+        let mut st_a = lstm.begin_sequence(1);
+        let plain: Vec<Tensor> = xs.iter().map(|x| lstm.step_inference(x, &mut st_a)).collect();
+        let mut st_b = lstm.begin_sequence(1);
+        for (x, y) in xs.iter().zip(&plain) {
+            assert_eq!(y.data(), lstm.step_prepacked(x, &mut st_b, &panels).data());
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * `matmul_at_b` — C = Aᵀ·B          ([K,M]·[K,N] → [M,N])
 //!
 //! B is packed once per call into 8-wide column panels and shared by all
-//! worker chunks; `matmul_at_b` transposes A into a scratch buffer and
+//! worker chunks — or packed once by the caller ([`pack_weights`]) and
+//! reused across calls ([`matmul_prepacked_into`], the batch-1 inference
+//! path, where packing costs about as much as the multiply); `matmul_at_b` transposes A into a scratch buffer and
 //! reuses the same packed kernel (which is what removes the historical
 //! `if av != 0.0` sparsity skip — that skip silently turned `0 × inf` into
 //! `0` instead of NaN). Parallel runs split M into fixed 32-row chunks, a
@@ -129,35 +131,88 @@ pub fn matmul_at_b_acc_into(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: us
     });
 }
 
-/// Shared driver: pack B, then run the micro-kernel serially or over fixed
-/// row chunks on the resident pool. `acc = false` zeroes C first.
-fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
-    if !acc {
-        c.fill(0.0);
+/// B `[k, n]` packed once into the 8-wide column panels the GEMM kernels
+/// read (see [`Kernels::pack_b`]). Inference callers pack each weight matrix
+/// once and reuse the panel across calls with [`matmul_prepacked_into`];
+/// the values are those of the `B` it was packed from at packing time, so
+/// the owner must re-pack after the weights change.
+#[derive(Debug)]
+pub struct PackedB {
+    panel: Vec<f32>,
+    k: usize,
+    n: usize,
+}
+
+/// Pack a row-major weight matrix `b` `[k, n]` for [`matmul_prepacked_into`].
+pub fn pack_weights(b: &[f32], k: usize, n: usize) -> PackedB {
+    assert_eq!(b.len(), k * n);
+    let mut panel = Vec::new();
+    Kernels::get().pack_b(b, k, n, &mut panel);
+    PackedB { panel, k, n }
+}
+
+/// GEMM against a pre-packed B: C[M,N] = A[M,K]·B[K,N], or C += A·B with
+/// `acc`. Bit-identical to [`matmul_into`] / [`matmul_acc_into`] on the
+/// matrix `bp` was packed from — they run this same kernel path after
+/// packing B into scratch.
+pub fn matmul_prepacked_into(
+    a: &[f32],
+    bp: &PackedB,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    acc: bool,
+) {
+    assert_eq!((bp.k, bp.n), (k, n), "packed B is [{}, {}], not [{k}, {n}]", bp.k, bp.n);
+    assert_eq!(a.len(), m * k);
+    assert_eq!(c.len(), m * n);
+    if clear_or_empty(c, m, k, n, acc) {
+        return;
     }
-    if m == 0 || n == 0 || k == 0 {
+    gemm_packed(Kernels::get(), a, &bp.panel, c, m, k, n);
+}
+
+/// Shared driver for unpacked B: pack it into per-thread scratch, then run
+/// [`gemm_packed`].
+fn gemm_driver(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) {
+    if clear_or_empty(c, m, k, n, acc) {
         return;
     }
     let kern = Kernels::get();
     PACK_BUF.with(|buf| {
         let mut bp = buf.borrow_mut();
         kern.pack_b(b, k, n, &mut bp);
-        if m * n * k >= PAR_THRESHOLD && pool::parallel_enabled() {
-            let tasks = m.div_ceil(ROWS_PER_TASK);
-            let cp = SendPtr::new(c.as_mut_ptr());
-            let bp: &[f32] = &bp;
-            pool::run(tasks, &|t| {
-                let i0 = t * ROWS_PER_TASK;
-                let i1 = (i0 + ROWS_PER_TASK).min(m);
-                // SAFETY: tasks write disjoint row ranges of C.
-                let chunk =
-                    unsafe { std::slice::from_raw_parts_mut(cp.get().add(i0 * n), (i1 - i0) * n) };
-                kern.gemm_rows_packed(chunk, &a[i0 * k..i1 * k], bp, k, n);
-            });
-        } else {
-            kern.gemm_rows_packed(c, a, &bp, k, n);
-        }
+        gemm_packed(kern, a, &bp, c, m, k, n);
     });
+}
+
+/// Zero C unless accumulating; true when an empty dimension leaves nothing
+/// to multiply.
+fn clear_or_empty(c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) -> bool {
+    if !acc {
+        c.fill(0.0);
+    }
+    m == 0 || n == 0 || k == 0
+}
+
+/// The one GEMM kernel path: `c += a · B` over the packed panel `bp`, run
+/// serially or over fixed row chunks on the resident pool.
+fn gemm_packed(kern: Kernels, a: &[f32], bp: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    if m * n * k >= PAR_THRESHOLD && pool::parallel_enabled() {
+        let tasks = m.div_ceil(ROWS_PER_TASK);
+        let cp = SendPtr::new(c.as_mut_ptr());
+        pool::run(tasks, &|t| {
+            let i0 = t * ROWS_PER_TASK;
+            let i1 = (i0 + ROWS_PER_TASK).min(m);
+            // SAFETY: tasks write disjoint row ranges of C.
+            let chunk =
+                unsafe { std::slice::from_raw_parts_mut(cp.get().add(i0 * n), (i1 - i0) * n) };
+            kern.gemm_rows_packed(chunk, &a[i0 * k..i1 * k], bp, k, n);
+        });
+    } else {
+        kern.gemm_rows_packed(c, a, bp, k, n);
+    }
 }
 
 /// y = A·x + y for a matrix [M,N] and vectors x[N], y[M] (gemv accumulate).

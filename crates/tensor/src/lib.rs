@@ -5,8 +5,11 @@
 //! paper optimizes in §4.4.2.
 //!
 //! * [`Tensor`] — row-major dense tensors with elementwise ops.
-//! * [`gemm`] — blocked, rayon-parallel matrix products (forward, `A·Bᵀ`,
-//!   `Aᵀ·B`) powering the LSTM and dense layers.
+//! * [`gemm`] — blocked matrix products (forward, `A·Bᵀ`, `Aᵀ·B`) on the
+//!   dispatched micro-kernels, split over the resident [`pool`] threads
+//!   above a size threshold, plus pre-packed weight panels
+//!   ([`gemm::pack_weights`]) for batch-1 inference. They power the LSTM and
+//!   dense layers.
 //! * [`conv`] — direct 3D convolution in two flavours: plain NCDHW
 //!   ([`conv::conv3d_naive`]) and the channel-blocked NCDHW8c layout with an
 //!   8×8 micro-kernel ([`conv::conv3d_blocked`]) that reproduces the

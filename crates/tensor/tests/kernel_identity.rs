@@ -2,7 +2,10 @@
 //! (AVX2 vs scalar fallback) and across serial vs pooled-parallel execution,
 //! over arbitrary shapes — including non-multiples of 8 and empty dims.
 
-use etalumis_tensor::gemm::{matmul, matmul_a_bt, matmul_at_b};
+use etalumis_tensor::gemm::{
+    matmul, matmul_a_bt, matmul_acc_into, matmul_at_b, matmul_into, matmul_prepacked_into,
+    pack_weights,
+};
 use etalumis_tensor::simd::{avx2_available, set_backend_override, Backend};
 use etalumis_tensor::{activations, conv, pool, Conv3dSpec, Tensor};
 use proptest::prelude::*;
@@ -41,8 +44,59 @@ fn assert_backend_identical<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T, c
     assert_eq!(serial, parallel, "serial vs parallel: {ctx}");
 }
 
+/// Under the active backend and pool setting: C = A·B and C += A·B through
+/// the packing GEMMs must equal the same products on a pre-packed B, bit for
+/// bit. Returns the four buffers for the cross-backend comparison.
+fn prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
+    let a = rand_tensor(&[m, k], seed);
+    let b = rand_tensor(&[k, n], seed ^ 0x3141);
+    let base = rand_tensor(&[m, n], seed ^ 0x2718);
+    let bp = pack_weights(b.data(), k, n);
+    let mut plain = vec![f32::NAN; m * n];
+    matmul_into(a.data(), b.data(), &mut plain, m, k, n);
+    let mut pre = vec![f32::NAN; m * n];
+    matmul_prepacked_into(a.data(), &bp, &mut pre, m, k, n, false);
+    let mut plain_acc = base.data().to_vec();
+    matmul_acc_into(a.data(), b.data(), &mut plain_acc, m, k, n);
+    let mut pre_acc = base.data().to_vec();
+    matmul_prepacked_into(a.data(), &bp, &mut pre_acc, m, k, n, true);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&plain), bits(&pre), "matmul_into vs prepacked {m}x{k}x{n}");
+    assert_eq!(bits(&plain_acc), bits(&pre_acc), "matmul_acc_into vs prepacked {m}x{k}x{n}");
+    vec![plain, pre, plain_acc, pre_acc]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prepacked_gemm_bit_identical_to_packing_gemm(
+        m in 0usize..40,
+        k in 0usize..300,
+        n in 0usize..40,
+        seed in 0u64..1_000_000,
+    ) {
+        let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+        assert_backend_identical(
+            || prepacked_matches_packing(m, k, n, seed),
+            &format!("prepacked {m}x{k}x{n}"),
+        );
+    }
+
+    #[test]
+    fn large_prepacked_gemm_crosses_parallel_threshold(
+        m in 64usize..96,
+        k in 48usize..90,
+        n in 24usize..72,
+        seed in 0u64..1_000_000,
+    ) {
+        // m·k·n >= 64·48·24 > the 64k parallel threshold: pooled chunking.
+        let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+        assert_backend_identical(
+            || prepacked_matches_packing(m, k, n, seed),
+            &format!("large prepacked {m}x{k}x{n}"),
+        );
+    }
 
     #[test]
     fn gemm_bit_identical_across_backends(

@@ -16,15 +16,23 @@
 //! Training processes *sub-minibatches* of traces sharing one trace type in
 //! a single batched forward/backward pass (Algorithm 1); inference drives
 //! the same network step-by-step as a [`ProposalProvider`].
+//!
+//! Inference is amortised (§4.2): the network keeps one private cache of
+//! work that depends only on the weights and the observation — the last
+//! observation's CNN embedding and the packed weight panels of the LSTM and
+//! of every address-specific layer. Every `&mut` path that can change a
+//! weight (`visit_params`, `loss_sub_minibatch`, `register_address`) drops
+//! it first, so a cached query is bit-identical to an uncached one.
 
 use etalumis_core::Address;
 use etalumis_data::TraceRecord;
 use etalumis_distributions::{Distribution, Value};
 use etalumis_inference::ProposalProvider;
 use etalumis_nn::{
-    CategoricalHead, Cnn3d, Cnn3dConfig, Embedding, Lstm, LstmState, MixtureTnHead, Module,
-    NormalHead, Parameter, SampleEmbedding,
+    CategoricalHead, Cnn3d, Cnn3dConfig, Embedding, Lstm, LstmPanels, LstmState, MixtureTnHead,
+    Mlp2Panels, Module, NormalHead, Parameter, SampleEmbedding,
 };
+use etalumis_tensor::gemm::PackedB;
 use etalumis_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,6 +116,16 @@ enum Head {
     Normal(NormalHead),
 }
 
+impl Head {
+    fn pack(&self) -> Mlp2Panels {
+        match self {
+            Head::Mixture(h) => h.pack(),
+            Head::Categorical(h) => h.pack(),
+            Head::Normal(h) => h.pack(),
+        }
+    }
+}
+
 /// All address-specific components for one address.
 struct AddressLayers {
     /// Row in the address-embedding table.
@@ -150,6 +168,59 @@ fn value_width(dist: &Distribution) -> usize {
     }
 }
 
+/// Packed panels of one address's sample embedding and proposal head.
+struct AddressPanels {
+    sample: PackedB,
+    head: Mlp2Panels,
+}
+
+/// Inference work that depends only on the weights and the observation.
+/// Built lazily by the [`ProposalProvider`] path; dropped whole by every
+/// path that can change a weight.
+#[derive(Default)]
+struct InferenceCache {
+    /// The last embedded observation: shape, `f32::to_bits` of its data,
+    /// and its CNN embedding `[1, embedding_dim]`.
+    obs: Option<(Vec<usize>, Vec<u32>, Tensor)>,
+    /// Packed LSTM `w_ih`/`w_hh` panels.
+    lstm: Option<LstmPanels>,
+    /// Per-address panels indexed by embedding id, packed on first use.
+    addresses: Vec<Option<AddressPanels>>,
+}
+
+impl InferenceCache {
+    /// CNN embedding of an observation of the CNN's input volume, computed
+    /// only when it differs (shape or any bit) from the cached one.
+    fn embed(&mut self, cnn: &mut Cnn3d, shape: &[usize], data: &[f32]) -> Tensor {
+        if let Some((s, bits, embed)) = &self.obs {
+            if s == shape
+                && bits.len() == data.len()
+                && bits.iter().zip(data).all(|(b, x)| *b == x.to_bits())
+            {
+                return embed.clone();
+            }
+        }
+        let dims = cnn.config.input_dims;
+        let x = Tensor::from_vec(&[1, 1, dims[0], dims[1], dims[2]], data.to_vec());
+        let embed = cnn.forward_inference(&x);
+        let bits = data.iter().map(|x| x.to_bits()).collect();
+        self.obs = Some((shape.to_vec(), bits, embed.clone()));
+        embed
+    }
+
+    /// The packed panels of one address's layers.
+    fn address(&mut self, layers: &AddressLayers) -> &AddressPanels {
+        let id = layers.embed_id;
+        if self.addresses.len() <= id {
+            self.addresses.resize_with(id + 1, || None);
+        }
+        self.addresses[id].get_or_insert_with(|| AddressPanels {
+            sample: layers.sample_embed.pack(),
+            head: layers.head.pack(),
+        })
+    }
+}
+
 /// Fraction of prior mass mixed into categorical proposals at inference
 /// time, protecting importance weights from overconfident networks.
 const CATEGORICAL_PRIOR_MIX: f64 = 0.05;
@@ -172,6 +243,8 @@ pub struct IcNetwork {
     inf_state: Option<LstmState>,
     inf_obs_embed: Option<Tensor>,
     inf_prev: Option<(String, Vec<f32>)>,
+    cache: InferenceCache,
+    rejected_observations: u64,
 }
 
 impl IcNetwork {
@@ -194,7 +267,21 @@ impl IcNetwork {
             inf_state: None,
             inf_obs_embed: None,
             inf_prev: None,
+            cache: InferenceCache::default(),
+            rejected_observations: 0,
         }
+    }
+
+    /// Traces begun with an observation that does not fit the CNN input
+    /// volume (or is not numeric). Their proposals fall back to the prior.
+    pub fn rejected_observations(&self) -> u64 {
+        self.rejected_observations
+    }
+
+    /// Drop everything derived from the weights; called first by every
+    /// `&mut` path that can change one.
+    fn drop_inference_cache(&mut self) {
+        self.cache = InferenceCache::default();
     }
 
     /// Number of registered addresses.
@@ -217,6 +304,7 @@ impl IcNetwork {
     /// Register one address with its prior; no-op if known or frozen.
     /// Returns false if the address is unknown and the net is frozen.
     pub fn register_address(&mut self, address: &str, prior: &Distribution) -> bool {
+        self.drop_inference_cache();
         if self.layers.contains_key(address) {
             return true;
         }
@@ -298,6 +386,7 @@ impl IcNetwork {
     /// Gradients accumulate into the network parameters; the caller is
     /// responsible for `zero_grad` / scaling / the optimizer step.
     pub fn loss_sub_minibatch(&mut self, records: &[&TraceRecord]) -> Option<f64> {
+        self.drop_inference_cache();
         assert!(!records.is_empty());
         let t0 = records[0].trace_type;
         assert!(
@@ -493,6 +582,7 @@ impl IcNetwork {
 
 impl Module for IcNetwork {
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Parameter)) {
+        self.drop_inference_cache();
         self.cnn.visit_params(&format!("{prefix}/cnn"), f);
         self.lstm.visit_params(&format!("{prefix}/lstm"), f);
         self.address_table.visit_params(&format!("{prefix}/addr_table"), f);
@@ -512,29 +602,34 @@ impl Module for IcNetwork {
 
 impl ProposalProvider for IcNetwork {
     fn begin_trace(&mut self, observation: &Value) {
-        let obs = match observation {
-            Value::Tensor(t) => t.clone(),
-            v => etalumis_distributions::TensorValue::new(vec![1], vec![v.as_f64() as f32]),
+        self.inf_prev = None;
+        let scalar: [f32; 1];
+        let (shape, data): (&[usize], &[f32]) = match observation {
+            Value::Tensor(t) => (&t.shape, &t.data),
+            Value::Real(_) | Value::Int(_) | Value::Bool(_) => {
+                scalar = [observation.as_f64() as f32];
+                (&[1], &scalar)
+            }
+            _ => (&[], &[]),
         };
         let dims = self.config.cnn.input_dims;
-        assert_eq!(
-            obs.data.len(),
-            dims[0] * dims[1] * dims[2],
-            "observation {:?} does not match CNN input {dims:?}",
-            obs.shape
-        );
-        let x = Tensor::from_vec(&[1, 1, dims[0], dims[1], dims[2]], obs.data);
-        self.inf_obs_embed = Some(self.cnn.forward_inference(&x));
+        if data.len() != dims[0] * dims[1] * dims[2] {
+            // Not the CNN's input volume: every proposal of this trace
+            // falls back to the prior.
+            self.rejected_observations += 1;
+            self.inf_obs_embed = None;
+            self.inf_state = None;
+            return;
+        }
+        self.inf_obs_embed = Some(self.cache.embed(&mut self.cnn, shape, data));
         self.inf_state = Some(self.lstm.begin_sequence(1));
-        self.inf_prev = None;
     }
 
     fn propose(&mut self, address: &Address, prior: &Distribution) -> Option<Distribution> {
         let key = address.qualified();
-        if !self.layers.contains_key(&key) {
-            return None;
-        }
-        let obs_embed = self.inf_obs_embed.as_ref()?.clone();
+        let layers = self.layers.get(&key)?;
+        let obs_embed = self.inf_obs_embed.as_ref()?;
+        let cache = &mut self.cache;
         // Previous sample embedding.
         let samp_embed = match &self.inf_prev {
             None => Tensor::zeros(&[1, self.config.sample_embed_dim]),
@@ -544,23 +639,29 @@ impl ProposalProvider for IcNetwork {
                 let mut x = Tensor::zeros(&[1, width]);
                 let n = feats.len().min(width);
                 x.row_mut(0)[..n].copy_from_slice(&feats[..n]);
-                prev_layers.sample_embed.forward_inference(&x)
+                let panels = cache.address(prev_layers);
+                prev_layers.sample_embed.forward_prepacked(&x, &panels.sample)
             }
         };
-        let embed_id = self.layers[&key].embed_id;
-        let addr_embed = self.address_table.forward_inference(&[embed_id]);
-        let x = Tensor::concat_cols(&[&obs_embed, &addr_embed, &samp_embed]);
+        // LSTM input: [observation | address | previous sample] embeddings.
+        let in_w = self.config.lstm_input();
+        let mut x = Vec::with_capacity(in_w);
+        x.extend_from_slice(obs_embed.data());
+        x.extend_from_slice(self.address_table.table.value.row(layers.embed_id));
+        x.extend_from_slice(samp_embed.data());
+        let x = Tensor::from_vec(&[1, in_w], x);
         let state = self.inf_state.as_mut()?;
-        let h = self.lstm.step_inference(&x, state);
-        let layers = &self.layers[&key];
+        let lstm_panels = cache.lstm.get_or_insert_with(|| self.lstm.pack());
+        let h = self.lstm.step_prepacked(&x, state, lstm_panels);
+        let head_panels = &cache.address(layers).head;
         let q = match &layers.head {
             Head::Mixture(head) => {
                 let (lo, hi) = prior.support()?;
-                head.proposal(&h, lo, hi)
+                head.proposal_prepacked(&h, head_panels, lo, hi)
             }
-            Head::Normal(head) => head.proposal(&h),
+            Head::Normal(head) => head.proposal_prepacked(&h, head_panels),
             Head::Categorical(head) => {
-                let q = head.proposal(&h);
+                let q = head.proposal_prepacked(&h, head_panels);
                 // Mix a sliver of prior mass in for importance-weight safety.
                 match (q, prior) {
                     (
@@ -695,6 +796,59 @@ mod tests {
             assert_eq!(na, nb);
             assert_eq!(va, vb, "parameter {na} differs");
         }
+    }
+
+    /// Always declines: every proposal falls back to the prior.
+    struct Decline;
+
+    impl ProposalProvider for Decline {
+        fn begin_trace(&mut self, _obs: &Value) {}
+        fn propose(&mut self, _a: &Address, _p: &Distribution) -> Option<Distribution> {
+            None
+        }
+        fn notify(&mut self, _a: &Address, _p: &Distribution, _v: &Value) {}
+    }
+
+    #[test]
+    fn mis_shaped_observation_falls_back_to_prior() {
+        // Regression: a mis-shaped or non-numeric observation used to panic
+        // in `begin_trace`. Now its traces run on the prior and are counted.
+        let recs = small_records(30);
+        let mut net = IcNetwork::new(small_config());
+        net.pregenerate(recs.iter());
+        let mut observes = ObserveMap::new();
+        observes.insert("y".into(), Value::Real(1.0));
+        // The CNN takes one value; "img" has two, and "missing" is absent.
+        let img = etalumis_distributions::TensorValue::new(vec![2], vec![0.5, 1.5]);
+        observes.insert("img".into(), Value::Tensor(img));
+        let bits = |w: &etalumis_inference::WeightedTraces| {
+            w.log_weights.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let mut model = BranchingModel::standard();
+        for (k, name) in ["img", "missing"].into_iter().enumerate() {
+            let post = etalumis_inference::ic_importance_sampling(
+                &mut model, &observes, name, &mut net, 20, 4,
+            );
+            let prior = etalumis_inference::ic_importance_sampling(
+                &mut model,
+                &observes,
+                name,
+                &mut Decline,
+                20,
+                4,
+            );
+            assert_eq!(bits(&post), bits(&prior), "{name}: proposals must be the prior");
+            assert_eq!(net.rejected_observations(), 20 * (k as u64 + 1));
+        }
+        // A well-shaped observation afterwards is answered as usual.
+        let mut fresh = IcNetwork::new(small_config());
+        fresh.pregenerate(recs.iter());
+        let guided = |n: &mut IcNetwork| {
+            let mut m = BranchingModel::standard();
+            etalumis_inference::ic_importance_sampling(&mut m, &observes, "y", n, 20, 4)
+        };
+        assert_eq!(bits(&guided(&mut net)), bits(&guided(&mut fresh)));
+        assert_eq!(net.rejected_observations(), 40);
     }
 
     #[test]
