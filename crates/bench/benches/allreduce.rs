@@ -36,7 +36,7 @@ fn run_strategy(strategy: AllReduceStrategy, iters: usize) {
                 for _ in 0..iters {
                     let mut list: Vec<(&str, &mut [f32])> =
                         grads.iter_mut().map(|g| ("g", g.as_mut_slice())).collect();
-                    black_box(ctx.allreduce_gradients(&mut list, strategy));
+                    black_box(ctx.allreduce_gradients(rank, &mut list, strategy));
                 }
             });
         }

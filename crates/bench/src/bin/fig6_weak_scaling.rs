@@ -11,7 +11,7 @@
 
 use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
 use etalumis_nn::LrSchedule;
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, ScalingModel};
+use etalumis_train::{train_distributed, AllReduceStrategy, BatchSource, DistConfig, ScalingModel};
 
 fn main() {
     let log = Logger::from_args();
@@ -19,18 +19,22 @@ fn main() {
     let (ds, dir) = tau_dataset(256, 256, "fig6");
     let mut rates = Vec::new();
     for ranks in [1usize, 2] {
-        let dist = DistConfig {
-            ranks,
+        let source = BatchSource::Epochs {
+            dataset: &ds,
             minibatch_per_rank: 16,
             epochs: 1,
-            max_iterations: Some(8),
-            strategy: AllReduceStrategy::SparseConcat,
-            lr: LrSchedule::Constant(1e-3),
-            larc_trust: None,
             buckets: 1,
             seed: 5,
         };
-        let (_, report) = train_distributed(&ds, bench_ic_config(6), &dist).expect("dataset read");
+        let dist = DistConfig {
+            ranks,
+            max_iterations: Some(8),
+            strategy: AllReduceStrategy::SparseConcat,
+            lr: LrSchedule::Constant(1e-3),
+            ..Default::default()
+        };
+        let (_, report) =
+            train_distributed(source, bench_ic_config(6), &dist).expect("dataset read");
         log.info(
             "measured_scaling",
             &[

@@ -10,21 +10,21 @@
 use etalumis_bench::{bench_ic_config, tau_dataset, Field, Logger};
 use etalumis_nn::LrSchedule;
 use etalumis_tensor::flops::training_flops;
-use etalumis_train::{platforms, train_distributed, AllReduceStrategy, DistConfig, IcConfig};
+use etalumis_train::{
+    platforms, train_distributed, AllReduceStrategy, BatchSource, DistConfig, IcConfig,
+};
 
 fn measure(ranks: usize, ds: &etalumis_data::TraceDataset, cfg: IcConfig) -> (f64, f64) {
+    let source =
+        BatchSource::Epochs { dataset: ds, minibatch_per_rank: 16, epochs: 1, buckets: 1, seed: 2 };
     let dist = DistConfig {
         ranks,
-        minibatch_per_rank: 16,
-        epochs: 1,
         max_iterations: Some(12),
         strategy: AllReduceStrategy::SparseConcat,
         lr: LrSchedule::Constant(1e-3),
-        larc_trust: None,
-        buckets: 1,
-        seed: 2,
+        ..Default::default()
     };
-    let (net, report) = train_distributed(ds, cfg, &dist).expect("dataset read");
+    let (net, report) = train_distributed(source, cfg, &dist).expect("dataset read");
     // Flops per trace: forward count for the mean trace length × the
     // forward+backward multiplier.
     let mut net = net;

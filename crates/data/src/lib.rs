@@ -46,5 +46,6 @@ pub use shard::{
     CHECKPOINT_MANIFEST_NAME, PARTIAL_EXT,
 };
 pub use stream::{
-    stream_dataset_into, BucketerConfig, ChannelClosed, ChannelStats, TraceBucketer, TraceChannel,
+    stream_dataset_into, BucketerConfig, ChannelClosed, ChannelStats, Releases, TraceBucketer,
+    TraceChannel,
 };

@@ -216,6 +216,12 @@ impl TraceChannel {
         rec
     }
 
+    /// Blocking iterator over the received records; ends once the channel
+    /// is closed and drained.
+    pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        std::iter::from_fn(move || self.recv())
+    }
+
     /// Close the channel (idempotent). Queued records stay receivable;
     /// blocked senders fail, blocked receivers drain and finish.
     pub fn close(&self) {
@@ -399,6 +405,17 @@ impl TraceBucketer {
         Some(self.take_bucket(key))
     }
 
+    /// Drive the bucketer over a whole record sequence: the releases its
+    /// pushes make, then, once the records run out, the end-of-stream
+    /// flush. This is the one place a record stream turns into training
+    /// sub-minibatches, so a live run and any replay of it release alike.
+    pub fn releases<I: IntoIterator<Item = TraceRecord>>(
+        self,
+        records: I,
+    ) -> Releases<I::IntoIter> {
+        Releases { bucketer: self, records: records.into_iter().fuse() }
+    }
+
     /// The largest non-empty bucket's trace type (ties: lowest type).
     fn largest_bucket(&self) -> Option<u64> {
         self.buckets
@@ -415,6 +432,32 @@ impl TraceBucketer {
         let out = self.buckets.remove(&key).unwrap_or_default();
         self.pending -= out.len();
         out
+    }
+}
+
+/// The release sequence of a record sequence; see [`TraceBucketer::releases`].
+pub struct Releases<I> {
+    bucketer: TraceBucketer,
+    records: std::iter::Fuse<I>,
+}
+
+impl<I> Releases<I> {
+    /// (buckets released full, buckets released by spilling) so far.
+    pub fn release_counts(&self) -> (u64, u64) {
+        self.bucketer.release_counts()
+    }
+}
+
+impl<I: Iterator<Item = TraceRecord>> Iterator for Releases<I> {
+    type Item = Vec<TraceRecord>;
+
+    fn next(&mut self) -> Option<Vec<TraceRecord>> {
+        for rec in self.records.by_ref() {
+            if let Some(release) = self.bucketer.push(rec) {
+                return Some(release);
+            }
+        }
+        self.bucketer.flush()
     }
 }
 

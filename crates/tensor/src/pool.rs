@@ -1,7 +1,7 @@
 //! Resident kernel thread pool with deterministic fixed chunking.
 //!
-//! The compat rayon shim spawns fresh threads per parallel call; at kernel
-//! granularity that overhead dwarfs the work. This pool keeps a fixed set of
+//! Spawning fresh threads per parallel call (scoped fork/join) costs more
+//! than the work at kernel granularity. This pool keeps a fixed set of
 //! resident workers (spawned once, parked on a condvar) and hands them
 //! atomically-claimed task indices from a shared cursor.
 //!

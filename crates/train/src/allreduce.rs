@@ -10,11 +10,17 @@
 //! the remaining per-tensor latency.
 //!
 //! Ranks are threads sharing an [`AllReduceCtx`]; every reduction "round"
-//! costs two barrier crossings (mirroring an `MPI_Allreduce` call), so the
+//! costs barrier crossings (mirroring an `MPI_Allreduce` call), so the
 //! per-tensor strategy pays the latency the paper measured and the
 //! concatenated strategy amortizes it.
+//!
+//! Sums are added in rank order `0..n` from zero, never in the order ranks
+//! happen to arrive: f32 addition does not associate, so with three or more
+//! ranks an arrival-order sum would make a run's bits depend on scheduling.
 
-use parking_lot::Mutex;
+use crate::network::IcNetwork;
+use etalumis_nn::Module;
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -30,11 +36,15 @@ pub enum AllReduceStrategy {
     SparseConcat,
 }
 
+/// Calls its argument on every tensor of a gradient set, in a fixed order.
+type VisitGrads<'a> = dyn FnMut(&mut dyn FnMut(&mut [f32])) + 'a;
+
 /// Shared state for `n` rank threads.
 pub struct AllReduceCtx {
     n: usize,
     barrier: Barrier,
-    buffer: Mutex<Vec<f32>>,
+    /// Each rank's contribution to the current `reduce_sum` round.
+    slots: Vec<RwLock<Vec<f32>>>,
     flags: Mutex<Vec<bool>>,
     /// Reduction rounds performed (for instrumentation).
     rounds: AtomicUsize,
@@ -46,7 +56,7 @@ impl AllReduceCtx {
         Self {
             n,
             barrier: Barrier::new(n),
-            buffer: Mutex::new(Vec::new()),
+            slots: (0..n).map(|_| RwLock::new(Vec::new())).collect(),
             flags: Mutex::new(Vec::new()),
             rounds: AtomicUsize::new(0),
         }
@@ -63,34 +73,23 @@ impl AllReduceCtx {
     }
 
     /// One synchronous sum-reduction round over a flat buffer; on return
-    /// every rank's `data` holds the element-wise sum across ranks.
-    pub fn reduce_sum(&self, data: &mut [f32]) {
-        // Round 1: first rank to arrive sizes the buffer; all add.
-        self.barrier.wait();
+    /// every rank's `data` holds the element-wise sum across ranks, added
+    /// in rank order starting from zero — identical bits on every rank and
+    /// in every run.
+    pub fn reduce_sum(&self, rank: usize, data: &mut [f32]) {
         {
-            let mut buf = self.buffer.lock();
-            if buf.len() != data.len() {
-                buf.clear();
-                buf.resize(data.len(), 0.0);
-            }
-            for (b, &d) in buf.iter_mut().zip(data.iter()) {
-                *b += d;
-            }
+            let mut slot = self.slots[rank].write();
+            slot.clear();
+            slot.extend_from_slice(data);
         }
         self.barrier.wait();
-        {
-            let buf = self.buffer.lock();
-            data.copy_from_slice(&buf);
-        }
-        self.barrier.wait();
-        // One rank clears for the next round (rank-agnostic: the first one
-        // through the lock after the last barrier).
-        {
-            let mut buf = self.buffer.lock();
-            if !buf.is_empty() {
-                buf.clear();
+        data.fill(0.0);
+        for slot in &self.slots {
+            for (d, &x) in data.iter_mut().zip(slot.read().iter()) {
+                *d += x;
             }
         }
+        // No rank refills its slot until every rank has read them all.
         self.barrier.wait();
         self.rounds.fetch_add(1, Ordering::Relaxed);
     }
@@ -126,75 +125,98 @@ impl AllReduceCtx {
 
     /// Allreduce-average a list of named gradient tensors under a strategy.
     ///
-    /// Every rank must call this with the same tensor list (same names,
-    /// same order, same shapes) — exactly the contract of the paper's
-    /// globally shared pre-generated network. Returns the number of scalar
-    /// elements communicated by this rank.
+    /// `rank` is the caller's rank. Every rank must call this with the same
+    /// tensor list (same names, same order, same shapes) — exactly the
+    /// contract of the paper's globally shared pre-generated network.
+    /// Returns the number of scalar elements communicated by this rank.
     pub fn allreduce_gradients(
         &self,
+        rank: usize,
         grads: &mut [(&str, &mut [f32])],
         strategy: AllReduceStrategy,
     ) -> usize {
+        self.average(rank, strategy, &mut |f| {
+            for (_, g) in grads.iter_mut() {
+                f(g);
+            }
+        })
+    }
+
+    /// The strategies over any gradient set: `visit` hands every gradient
+    /// tensor to its argument, in the same order on every rank.
+    fn average(
+        &self,
+        rank: usize,
+        strategy: AllReduceStrategy,
+        visit: &mut VisitGrads<'_>,
+    ) -> usize {
         let inv_n = 1.0 / self.n as f32;
-        match strategy {
-            AllReduceStrategy::DensePerTensor => {
-                let mut elems = 0;
-                for (_, g) in grads.iter_mut() {
-                    self.reduce_sum(g);
-                    for v in g.iter_mut() {
-                        *v *= inv_n;
-                    }
+        let mut elems = 0usize;
+        if strategy == AllReduceStrategy::DensePerTensor {
+            visit(&mut |g| {
+                self.reduce_sum(rank, g);
+                g.iter_mut().for_each(|v| *v *= inv_n);
+                elems += g.len();
+            });
+            return elems;
+        }
+        // Presence map: which tensors have any non-zero gradient on any
+        // rank.
+        let mut present = Vec::new();
+        visit(&mut |g| present.push(g.iter().any(|&x| x != 0.0)));
+        self.reduce_or(&mut present);
+        elems += present.len();
+        let mut i = 0usize;
+        if strategy == AllReduceStrategy::SparsePerTensor {
+            visit(&mut |g| {
+                if present[i] {
+                    self.reduce_sum(rank, g);
+                    g.iter_mut().for_each(|v| *v *= inv_n);
                     elems += g.len();
                 }
-                elems
-            }
-            AllReduceStrategy::SparsePerTensor | AllReduceStrategy::SparseConcat => {
-                // Presence map: which tensors have any non-zero gradient on
-                // any rank.
-                let mut present: Vec<bool> =
-                    grads.iter().map(|(_, g)| g.iter().any(|&x| x != 0.0)).collect();
-                self.reduce_or(&mut present);
-                if strategy == AllReduceStrategy::SparsePerTensor {
-                    let mut elems = present.len();
-                    for (i, (_, g)) in grads.iter_mut().enumerate() {
-                        if present[i] {
-                            self.reduce_sum(g);
-                            for v in g.iter_mut() {
-                                *v *= inv_n;
-                            }
-                            elems += g.len();
-                        }
-                    }
-                    elems
-                } else {
-                    // Concatenate all present tensors into one buffer.
-                    let total: usize = grads
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| present[*i])
-                        .map(|(_, (_, g))| g.len())
-                        .sum();
-                    let mut buf = Vec::with_capacity(total);
-                    for (i, (_, g)) in grads.iter().enumerate() {
-                        if present[i] {
-                            buf.extend_from_slice(g);
-                        }
-                    }
-                    self.reduce_sum(&mut buf);
-                    let mut off = 0;
-                    for (i, (_, g)) in grads.iter_mut().enumerate() {
-                        if present[i] {
-                            let len = g.len();
-                            for (dst, src) in g.iter_mut().zip(buf[off..off + len].iter()) {
-                                *dst = src * inv_n;
-                            }
-                            off += len;
-                        }
-                    }
-                    present.len() + total
-                }
-            }
+                i += 1;
+            });
+            return elems;
         }
+        // Concatenate all present tensors into one buffer.
+        let mut buf = Vec::new();
+        visit(&mut |g| {
+            if present[i] {
+                buf.extend_from_slice(g);
+            }
+            i += 1;
+        });
+        self.reduce_sum(rank, &mut buf);
+        elems += buf.len();
+        let (mut i, mut off) = (0usize, 0usize);
+        visit(&mut |g| {
+            if present[i] {
+                for (dst, src) in g.iter_mut().zip(&buf[off..]) {
+                    *dst = src * inv_n;
+                }
+                off += g.len();
+            }
+            i += 1;
+        });
+        elems
+    }
+}
+
+/// One rank's seat in a reduction group: the collectives a distributed
+/// training step runs between its gradient and update halves.
+pub(crate) struct RankSeat<'a> {
+    pub ctx: &'a AllReduceCtx,
+    pub rank: usize,
+    pub strategy: AllReduceStrategy,
+}
+
+impl RankSeat<'_> {
+    /// Average the network's gradients across ranks under the seat's
+    /// strategy; returns the scalar elements this rank communicated.
+    pub fn average_gradients(&self, net: &mut IcNetwork) -> usize {
+        self.ctx.average(self.rank, self.strategy, &mut |f| {
+            net.visit_params("", &mut |_, p| f(p.grad.data_mut()));
+        })
     }
 }
 
@@ -218,7 +240,7 @@ mod tests {
         let out = Mutex::new(vec![Vec::new(); 3]);
         run_ranks(3, |r| {
             let mut data = vec![r as f32 + 1.0; 4];
-            ctx.reduce_sum(&mut data);
+            ctx.reduce_sum(r, &mut data);
             out.lock()[r] = data;
         });
         let res = out.lock();
@@ -228,12 +250,29 @@ mod tests {
     }
 
     #[test]
+    fn reduce_sum_adds_in_rank_order_whatever_the_arrival_order() {
+        // (1e8 + 1) + -1e8 is 0 in f32 but 1e8 + -1e8 + 1 is 1: a sum in
+        // lock-arrival order returns either, depending on scheduling.
+        let contributions = [1e8f32, 1.0, -1e8];
+        for _ in 0..300 {
+            let ctx = AllReduceCtx::new(3);
+            let out = Mutex::new(vec![f32::NAN; 3]);
+            run_ranks(3, |r| {
+                let mut data = [contributions[r]];
+                ctx.reduce_sum(r, &mut data);
+                out.lock()[r] = data[0];
+            });
+            assert_eq!(*out.lock(), vec![0.0; 3]);
+        }
+    }
+
+    #[test]
     fn repeated_rounds_do_not_leak_state() {
         let ctx = Arc::new(AllReduceCtx::new(2));
         run_ranks(2, |r| {
             for round in 0..5 {
                 let mut data = vec![(r + round) as f32; 3];
-                ctx.reduce_sum(&mut data);
+                ctx.reduce_sum(r, &mut data);
                 let expect = (0 + round) as f32 + (1 + round) as f32;
                 assert_eq!(data, vec![expect; 3], "round {round}");
             }
@@ -259,7 +298,7 @@ mod tests {
                 {
                     let mut list: Vec<(&str, &mut [f32])> =
                         vec![("a", &mut a), ("b", &mut b), ("c", &mut c)];
-                    ctx.allreduce_gradients(&mut list, strategy);
+                    ctx.allreduce_gradients(r, &mut list, strategy);
                 }
                 results.lock()[r] = vec![a, b, c];
             });
@@ -284,7 +323,8 @@ mod tests {
             {
                 let mut list: Vec<(&str, &mut [f32])> =
                     tensors.iter_mut().map(|t| ("t", t.as_mut_slice())).collect();
-                let e = ctx_dense.allreduce_gradients(&mut list, AllReduceStrategy::DensePerTensor);
+                let e =
+                    ctx_dense.allreduce_gradients(r, &mut list, AllReduceStrategy::DensePerTensor);
                 if r == 0 {
                     *dense_elems.lock() = e;
                 }
@@ -294,7 +334,8 @@ mod tests {
             {
                 let mut list: Vec<(&str, &mut [f32])> =
                     tensors2.iter_mut().map(|t| ("t", t.as_mut_slice())).collect();
-                let e = ctx_sparse.allreduce_gradients(&mut list, AllReduceStrategy::SparseConcat);
+                let e =
+                    ctx_sparse.allreduce_gradients(r, &mut list, AllReduceStrategy::SparseConcat);
                 if r == 0 {
                     *sparse_elems.lock() = e;
                 }

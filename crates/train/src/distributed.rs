@@ -1,34 +1,70 @@
 //! Distributed synchronous data-parallel training (Algorithm 2).
 //!
-//! Ranks are OS threads, each holding an identical replica of the
-//! pre-generated IC network (offline mode, §4.4) and its own optimizer
-//! state; every iteration they read their minibatch from the shared sorted
-//! dataset via the distributed sampler, compute gradients, average them with
-//! a synchronous allreduce, and apply the same update — so all replicas stay
-//! bit-identical, exactly like MPI synchronous SGD.
+//! Ranks are OS threads, each a [`Trainer`] holding an identical replica
+//! of the pre-generated IC network and its own optimizer state; every
+//! iteration each rank takes its minibatch from the [`BatchSource`],
+//! computes gradients, averages them with a synchronous allreduce, and
+//! applies the same update — so all replicas stay bit-identical, exactly
+//! like MPI synchronous SGD. The source is a parameter: dataset epochs
+//! planned by the distributed sampler, or the releases of a live trace
+//! stream. Every rank runs the one step loop, [`Trainer::run`].
 //!
 //! Per-rank, per-iteration phase timings (minibatch read / forward /
 //! backward / optimizer / sync) are recorded — the measurements behind the
 //! paper's Figure 4 load-imbalance analysis.
 
-use crate::allreduce::{AllReduceCtx, AllReduceStrategy};
+use crate::allreduce::{AllReduceCtx, AllReduceStrategy, RankSeat};
 use crate::network::{IcConfig, IcNetwork};
-use crate::trainer::{accumulate_minibatch, PhaseTimings};
-use etalumis_data::{DistributedSampler, SamplerConfig, TraceDataset};
-use etalumis_nn::{Adam, LrSchedule, Module, Optimizer};
-use parking_lot::Mutex;
-use std::time::Instant;
+use crate::trainer::{epoch_batches, epoch_sampler, PhaseTimings, Trainer};
+use etalumis_data::{
+    BucketerConfig, SamplerConfig, TraceBucketer, TraceChannel, TraceDataset, TraceRecord,
+};
+use etalumis_nn::{Adam, LrSchedule};
+use etalumis_telemetry::Telemetry;
+use std::sync::{Condvar, Mutex};
 
-/// Distributed-training configuration.
+/// Where each rank's minibatches come from.
+#[derive(Clone, Copy)]
+pub enum BatchSource<'a> {
+    /// Epochs over a stored dataset. Every replica pre-generates from the
+    /// whole dataset; the distributed sampler assigns minibatches to ranks.
+    Epochs {
+        /// The (ideally trace-type sorted) dataset.
+        dataset: &'a TraceDataset,
+        /// Local minibatch size per rank (paper: 64).
+        minibatch_per_rank: usize,
+        /// Training epochs over the dataset.
+        epochs: usize,
+        /// Number of length buckets in the sampler (1 = none).
+        buckets: usize,
+        /// Sampler shuffle seed.
+        seed: u64,
+    },
+    /// A live trace stream, bucketed by trace type on the fly; rank `r`
+    /// owns release `it·ranks + r` of iteration `it`, a deterministic
+    /// assignment no scheduling can perturb. The run closes the channel
+    /// when it ends, so a producer drains instead of blocking.
+    Stream {
+        /// The stream, in batch-index order.
+        channel: &'a TraceChannel,
+        /// Sub-minibatch size a bucket releases at.
+        batch: usize,
+        /// Bucketer spill threshold (see [`TraceBucketer`]).
+        spill_after: usize,
+        /// Records pulled off the stream head to pre-generate every
+        /// replica identically. The replicas are then frozen: live address
+        /// discovery would grow each rank's parameter set differently and
+        /// break the allreduce.
+        warmup: usize,
+    },
+}
+
+/// Distributed-training configuration shared by every [`BatchSource`].
 #[derive(Clone, Debug)]
 pub struct DistConfig {
     /// Number of rank threads.
     pub ranks: usize,
-    /// Local minibatch size per rank (paper: 64).
-    pub minibatch_per_rank: usize,
-    /// Training epochs over the dataset.
-    pub epochs: usize,
-    /// Cap on total iterations (None = full epochs).
+    /// Cap on iterations per rank (None = until the source runs dry).
     pub max_iterations: Option<usize>,
     /// Gradient-reduction strategy.
     pub strategy: AllReduceStrategy,
@@ -36,24 +72,24 @@ pub struct DistConfig {
     pub lr: LrSchedule,
     /// Optional LARC trust coefficient (Adam-LARC when set).
     pub larc_trust: Option<f64>,
-    /// Number of length buckets in the sampler (1 = none).
-    pub buckets: usize,
-    /// Sampler shuffle seed.
-    pub seed: u64,
+    /// Telemetry handle (disabled by default). When enabled, each rank
+    /// emits worker-scoped `train.batch_read` spans and `train.step` spans
+    /// with nested `train.forward` / `train.backward` /
+    /// `train.allreduce_wait` / `train.optimizer` phases, plus
+    /// `train.steps` counters and a `train.sub_minibatches` gauge per
+    /// iteration.
+    pub tel: Telemetry,
 }
 
 impl Default for DistConfig {
     fn default() -> Self {
         Self {
             ranks: 2,
-            minibatch_per_rank: 16,
-            epochs: 1,
             max_iterations: None,
             strategy: AllReduceStrategy::SparseConcat,
             lr: LrSchedule::Constant(1e-3),
             larc_trust: None,
-            buckets: 1,
-            seed: 0,
+            tel: Telemetry::disabled(),
         }
     }
 }
@@ -67,7 +103,7 @@ pub struct DistReport {
     pub per_rank_timings: Vec<Vec<PhaseTimings>>,
     /// Total traces consumed across ranks.
     pub traces_total: usize,
-    /// Wall-clock seconds of the parallel section.
+    /// Wall-clock seconds of rank 0's step loop.
     pub wall_secs: f64,
     /// Scalar elements communicated per rank per iteration (mean).
     pub comm_elems_per_iter: f64,
@@ -99,7 +135,7 @@ impl DistReport {
             let mut mean = PhaseTimings::default();
             for r in 0..ranks {
                 let t = &self.per_rank_timings[r][it];
-                let work = t.batch_read + t.forward + t.backward + t.optimizer;
+                let work = t.work();
                 if work > max_total {
                     max_total = work;
                     max_rank = r;
@@ -113,221 +149,181 @@ impl DistReport {
     }
 }
 
-pub(crate) fn allreduce_network(
-    ctx: &AllReduceCtx,
-    net: &mut IcNetwork,
-    strategy: AllReduceStrategy,
-) -> usize {
-    let n = ctx.num_ranks() as f32;
-    match strategy {
-        AllReduceStrategy::DensePerTensor => {
-            let mut elems = 0usize;
-            net.visit_params("", &mut |_, p| {
-                ctx.reduce_sum(p.grad.data_mut());
-                p.grad.scale(1.0 / n);
-                elems += p.grad.numel();
-            });
-            elems
+/// Run Algorithm 2 over a batch source: returns the rank-0 network (all
+/// replicas are identical) and the run report.
+///
+/// A shard I/O error on any rank (truncated file, corrupt record — see
+/// `etalumis_data::DecodeError`) aborts training with `Err` instead of
+/// panicking the rank thread. The failing rank raises the leave bit of
+/// [`Trainer::run`], so every rank leaves the loop at the same
+/// synchronization point, replicas still bit-identical (the failed
+/// iteration applies no update). A stream that runs dry on one rank ends
+/// the run the same way, and the trailing partial round trains nobody.
+pub fn train_distributed(
+    source: BatchSource<'_>,
+    net_config: IcConfig,
+    dist: &DistConfig,
+) -> std::io::Result<(IcNetwork, DistReport)> {
+    let ranks = dist.ranks.max(1);
+    match source {
+        BatchSource::Epochs { dataset, minibatch_per_rank, epochs, buckets, seed } => {
+            let sampler = epoch_sampler(
+                dataset,
+                SamplerConfig { minibatch: minibatch_per_rank, num_ranks: ranks, buckets, seed },
+            )?;
+            let all_indices: Vec<usize> = (0..dataset.len()).collect();
+            let pregen = dataset.get_many(&all_indices)?;
+            run_ranks(&net_config, dist, &pregen, false, |rank| {
+                epoch_batches(dataset, &sampler, epochs, rank)
+            })
         }
-        AllReduceStrategy::SparsePerTensor => {
-            let mut present = Vec::new();
-            net.visit_params("", &mut |_, p| {
-                present.push(p.grad.data().iter().any(|&x| x != 0.0));
-            });
-            ctx.reduce_or(&mut present);
-            let mut elems = present.len();
-            let mut i = 0usize;
-            net.visit_params("", &mut |_, p| {
-                if present[i] {
-                    ctx.reduce_sum(p.grad.data_mut());
-                    p.grad.scale(1.0 / n);
-                    elems += p.grad.numel();
-                }
-                i += 1;
-            });
-            elems
-        }
-        AllReduceStrategy::SparseConcat => {
-            let mut present = Vec::new();
-            net.visit_params("", &mut |_, p| {
-                present.push(p.grad.data().iter().any(|&x| x != 0.0));
-            });
-            ctx.reduce_or(&mut present);
-            // Gather present grads into one buffer.
-            let mut buf: Vec<f32> = Vec::new();
-            let mut i = 0usize;
-            net.visit_params("", &mut |_, p| {
-                if present[i] {
-                    buf.extend_from_slice(p.grad.data());
-                }
-                i += 1;
-            });
-            ctx.reduce_sum(&mut buf);
-            let mut off = 0usize;
-            let mut i = 0usize;
-            let elems = present.len() + buf.len();
-            net.visit_params("", &mut |_, p| {
-                if present[i] {
-                    let len = p.grad.numel();
-                    for (dst, src) in p.grad.data_mut().iter_mut().zip(buf[off..off + len].iter()) {
-                        *dst = src / n;
+        BatchSource::Stream { channel, batch, spill_after, warmup } => {
+            let warmup: Vec<TraceRecord> = channel.iter().take(warmup).collect();
+            let releases = TraceBucketer::new(BucketerConfig { batch, spill_after })
+                .with_telemetry(dist.tel.clone())
+                .releases(warmup.clone().into_iter().chain(channel.iter()));
+            let feed = &ReleaseFeed::default();
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    for release in releases {
+                        feed.push(release);
                     }
-                    off += len;
-                }
-                i += 1;
-            });
-            elems
+                    feed.finish();
+                });
+                let out = run_ranks(&net_config, dist, &warmup, true, |rank| {
+                    (0..).map_while(move |it| feed.take(it * ranks + rank)).map(Ok)
+                });
+                // Ranks that stopped at `max_iterations` leave the producer
+                // pumping: close the channel so it drains instead of
+                // blocking forever.
+                channel.close();
+                out
+            })
         }
     }
 }
 
-/// Run Algorithm 2: returns the rank-0 network (all replicas are identical)
-/// and the run report.
-///
-/// A shard I/O error on any rank (truncated file, corrupt record — see
-/// `etalumis_data::DecodeError`) aborts training with `Err` instead of
-/// panicking the rank thread. Error propagation must not deadlock the
-/// collectives: a rank whose minibatch read fails still participates in
-/// that iteration's allreduce with zero gradients, and the failure bit
-/// rides the existing loss reduction — so every rank learns of the failure
-/// at the same synchronization point and they all leave the loop together,
-/// replicas still bit-identical (the failed iteration applies no update).
-pub fn train_distributed(
-    dataset: &TraceDataset,
-    net_config: IcConfig,
+/// Run the step loop on `dist.ranks` replicas, rank 0 on the calling
+/// thread, each pre-generated from `pregen` (then frozen if `freeze`) and
+/// fed by `batches(rank)`.
+fn run_ranks<B>(
+    net_config: &IcConfig,
     dist: &DistConfig,
-) -> std::io::Result<(IcNetwork, DistReport)> {
-    let ranks = dist.ranks;
-    let meta: Vec<(u64, u32)> = (0..dataset.len()).map(|i| dataset.meta(i)).collect();
-    let sampler = DistributedSampler::try_new(
-        meta,
-        SamplerConfig {
-            minibatch: dist.minibatch_per_rank,
-            num_ranks: ranks,
-            buckets: dist.buckets,
-            seed: dist.seed,
-        },
-    )?;
-    // Every rank pre-generates the same network from the same dataset.
-    let all_indices: Vec<usize> = (0..dataset.len()).collect();
-    let pregen_records = dataset.get_many(&all_indices)?;
+    pregen: &[TraceRecord],
+    freeze: bool,
+    batches: impl Fn(usize) -> B + Sync,
+) -> std::io::Result<(IcNetwork, DistReport)>
+where
+    B: Iterator<Item = std::io::Result<Vec<TraceRecord>>>,
+{
+    let ranks = dist.ranks.max(1);
     let ctx = AllReduceCtx::new(ranks);
-    let losses: Mutex<Vec<Vec<f64>>> = Mutex::new(vec![Vec::new(); ranks]);
-    let timings: Mutex<Vec<Vec<PhaseTimings>>> = Mutex::new(vec![Vec::new(); ranks]);
-    let traces_total = std::sync::atomic::AtomicUsize::new(0);
-    let comm_elems = std::sync::atomic::AtomicUsize::new(0);
-    let nets: Mutex<Vec<Option<IcNetwork>>> = Mutex::new((0..ranks).map(|_| None).collect());
-    let read_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for rank in 0..ranks {
-            let ctx = &ctx;
-            let sampler = &sampler;
-            let pregen_records = &pregen_records;
-            let losses = &losses;
-            let timings = &timings;
-            let traces_total = &traces_total;
-            let comm_elems = &comm_elems;
-            let nets = &nets;
-            let read_error = &read_error;
-            let net_config = net_config.clone();
-            s.spawn(move || {
-                let mut net = IcNetwork::new(net_config);
-                net.pregenerate(pregen_records.iter());
-                let mut opt = match dist.larc_trust {
-                    Some(t) => Adam::with_larc(dist.lr.clone(), t),
-                    None => Adam::new(dist.lr.clone()),
-                };
-                let mut iter_count = 0usize;
-                'outer: for epoch in 0..dist.epochs {
-                    let plan = sampler.epoch(epoch);
-                    let iters = plan.iterations();
-                    for it in 0..iters {
-                        if let Some(cap) = dist.max_iterations {
-                            if iter_count >= cap {
-                                break 'outer;
-                            }
-                        }
-                        let mut t = PhaseTimings::default();
-                        let t0 = Instant::now();
-                        // A failed read cannot simply break here: the other
-                        // ranks are already committed to this iteration's
-                        // collectives and would block forever. Participate
-                        // with an empty minibatch (zero gradients) and
-                        // raise the failure flag through the reduction.
-                        let (records, failed) = match dataset.get_many(&plan.per_rank[rank][it]) {
-                            Ok(r) => (r, 0.0),
-                            Err(e) => {
-                                read_error.lock().get_or_insert(e);
-                                (Vec::new(), 1.0)
-                            }
-                        };
-                        t.batch_read = t0.elapsed().as_secs_f64();
-                        let res = accumulate_minibatch(&mut net, &records);
-                        t.forward = res.timings.forward;
-                        t.backward = res.timings.backward;
-                        // Gradient + loss + failure-bit allreduce (the sync
-                        // phase).
-                        let ts = Instant::now();
-                        let elems = allreduce_network(ctx, &mut net, dist.strategy);
-                        let mut stats = [res.loss * res.used as f64, res.used as f64, failed];
-                        {
-                            let mut f32buf = [stats[0] as f32, stats[1] as f32, stats[2] as f32];
-                            ctx.reduce_sum(&mut f32buf);
-                            stats = [f32buf[0] as f64, f32buf[1] as f64, f32buf[2] as f64];
-                        }
-                        t.sync = ts.elapsed().as_secs_f64();
-                        if stats[2] > 0.0 {
-                            // Some rank failed its read this iteration:
-                            // every rank sees the same reduced bit and
-                            // leaves here, before the optimizer step, so
-                            // the replicas stay identical and nobody is
-                            // left waiting at the next collective.
-                            break 'outer;
-                        }
-                        let topt = Instant::now();
-                        opt.begin_step();
-                        net.visit_params("", &mut |n, p| opt.update(n, p));
-                        t.optimizer = topt.elapsed().as_secs_f64();
-                        let global_loss =
-                            if stats[1] > 0.0 { stats[0] / stats[1] } else { f64::NAN };
-                        losses.lock()[rank].push(global_loss);
-                        timings.lock()[rank].push(t);
-                        traces_total.fetch_add(res.used, std::sync::atomic::Ordering::Relaxed);
-                        comm_elems.fetch_add(elems, std::sync::atomic::Ordering::Relaxed);
-                        iter_count += 1;
-                    }
-                }
-                nets.lock()[rank] = Some(net);
-            });
+    let rank_main = |rank: usize| {
+        let _tel_scope = dist.tel.worker_scope(rank as u32);
+        let mut net = IcNetwork::new(net_config.clone());
+        net.pregenerate(pregen.iter());
+        if freeze {
+            net.freeze();
         }
-    });
-    if let Some(e) = read_error.into_inner() {
+        let opt = match dist.larc_trust {
+            Some(t) => Adam::with_larc(dist.lr.clone(), t),
+            None => Adam::new(dist.lr.clone()),
+        };
+        let mut trainer = Trainer::new(net, opt).with_telemetry(dist.tel.clone());
+        let seat = RankSeat { ctx: &ctx, rank, strategy: dist.strategy };
+        let run = trainer.run(batches(rank), Some(&seat), dist.max_iterations);
+        (trainer.net, run)
+    };
+    let (net, mut runs) = std::thread::scope(|s| {
+        let rank_main = &rank_main;
+        let peers: Vec<_> = (1..ranks).map(|rank| s.spawn(move || rank_main(rank).1)).collect();
+        let (net, run) = rank_main(0);
+        let mut runs = vec![run];
+        for peer in peers {
+            runs.push(peer.join().map_err(|_| std::io::Error::other("training rank panicked"))?);
+        }
+        Ok::<_, std::io::Error>((net, runs))
+    })?;
+    if let Some(e) = runs.iter_mut().find_map(|r| r.error.take()) {
         return Err(e);
     }
-    let wall = start.elapsed().as_secs_f64();
-    let losses = losses.into_inner();
-    let timings = timings.into_inner();
-    let iters_done = losses[0].len();
+    let rank0 = &runs[0];
+    let steps = rank0.log.losses.len();
+    let comm_elems: usize = runs.iter().map(|r| r.comm_elems).sum();
+    let traces_total: usize = runs.iter().map(|r| r.log.traces_seen).sum();
     let report = DistReport {
-        losses: losses[0].clone(),
-        per_rank_timings: timings,
-        traces_total: traces_total.into_inner(),
-        wall_secs: wall,
-        comm_elems_per_iter: if iters_done > 0 {
-            comm_elems.into_inner() as f64 / (iters_done * ranks) as f64
+        losses: rank0.log.losses.iter().map(|&(_, loss)| loss).collect(),
+        traces_total,
+        wall_secs: rank0.log.wall_secs,
+        comm_elems_per_iter: if steps > 0 {
+            comm_elems as f64 / (steps * ranks) as f64
         } else {
             0.0
         },
+        per_rank_timings: runs.into_iter().map(|r| r.timings).collect(),
     };
-    let net = nets.into_inner().remove(0).expect("rank 0 network"); // etalumis: allow(panic-freedom, reason = "one network per rank by construction")
     Ok((net, report))
+}
+
+/// The distributor → rank hand-off of a [`BatchSource::Stream`] run:
+/// released sub-minibatches, indexed globally.
+#[derive(Default)]
+struct ReleaseFeed {
+    state: Mutex<FeedState>,
+    cond: Condvar,
+}
+
+#[derive(Default)]
+struct FeedState {
+    releases: Vec<Option<Vec<TraceRecord>>>,
+    done: bool,
+}
+
+impl ReleaseFeed {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FeedState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn push(&self, release: Vec<TraceRecord>) {
+        let mut st = self.lock();
+        st.releases.push(Some(release));
+        // Notify while the state lock is held: a rank that just failed its
+        // predicate cannot slip between this publish and the wakeup.
+        self.cond.notify_all();
+        drop(st);
+    }
+
+    fn finish(&self) {
+        let mut st = self.lock();
+        st.done = true;
+        // Notify under the lock so a rank mid-predicate-check cannot miss
+        // the done flag and park forever.
+        self.cond.notify_all();
+        drop(st);
+    }
+
+    /// Take global release `i`, blocking until it exists; `None` once the
+    /// feed is finished with fewer than `i + 1` releases (this rank's side
+    /// of the stream is exhausted).
+    fn take(&self, i: usize) -> Option<Vec<TraceRecord>> {
+        let mut st = self.lock();
+        loop {
+            if i < st.releases.len() {
+                return st.releases[i].take();
+            }
+            if st.done {
+                return None;
+            }
+            st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use etalumis_data::{generate_dataset, sort_dataset};
+    use etalumis_nn::Module;
     use etalumis_simulators::BranchingModel;
     use std::path::PathBuf;
 
@@ -342,20 +338,32 @@ mod tests {
         IcConfig::small([1, 1, 1], 5)
     }
 
+    fn epochs(ds: &TraceDataset, epochs: usize, seed: u64) -> BatchSource<'_> {
+        BatchSource::Epochs { dataset: ds, minibatch_per_rank: 8, epochs, buckets: 1, seed }
+    }
+
+    fn sorted_dataset(tag: &str, n: usize, seed: u64) -> (TraceDataset, PathBuf) {
+        let dir = tmp(tag);
+        let mut m = BranchingModel::standard();
+        let ds = generate_dataset(&mut m, n, 64, &dir, seed, true).unwrap();
+        let ds = sort_dataset(&ds, &dir.join("sorted"), 64).unwrap();
+        (ds, dir)
+    }
+
+    fn params(net: &mut IcNetwork) -> Vec<(String, Vec<f32>)> {
+        let mut out = Vec::new();
+        net.visit_params("", &mut |n, p| out.push((n.to_string(), p.value.data().to_vec())));
+        out
+    }
+
     #[test]
     fn distributed_losses_decrease_and_replicas_agree() {
         let dir = tmp("train");
         let mut m = BranchingModel::standard();
         let ds = generate_dataset(&mut m, 128, 64, &dir, 1, true).unwrap();
         let ds = sort_dataset(&ds, &dir.join("sorted"), 64).unwrap();
-        let dist = DistConfig {
-            ranks: 2,
-            minibatch_per_rank: 8,
-            epochs: 6,
-            lr: LrSchedule::Constant(2e-3),
-            ..Default::default()
-        };
-        let (_net, report) = train_distributed(&ds, small_ic(), &dist).unwrap();
+        let dist = DistConfig { ranks: 2, lr: LrSchedule::Constant(2e-3), ..Default::default() };
+        let (_net, report) = train_distributed(epochs(&ds, 6, 0), small_ic(), &dist).unwrap();
         assert!(!report.losses.is_empty());
         let n = report.losses.len();
         let head: f64 = report.losses[..3].iter().sum::<f64>() / 3.0;
@@ -375,17 +383,14 @@ mod tests {
         let ds = sort_dataset(&ds, &dir.join("sorted"), 32).unwrap();
         let dist = DistConfig {
             ranks: 2,
-            minibatch_per_rank: 8,
-            epochs: 1,
             max_iterations: Some(1),
             lr: LrSchedule::Constant(1e-3),
-            seed: 4,
             ..Default::default()
         };
-        let (dnet, report) = train_distributed(&ds, small_ic(), &dist).unwrap();
+        let (dnet, report) = train_distributed(epochs(&ds, 1, 4), small_ic(), &dist).unwrap();
         // Reconstruct the union of both ranks' first minibatches.
         let meta: Vec<(u64, u32)> = (0..ds.len()).map(|i| ds.meta(i)).collect();
-        let sampler = DistributedSampler::new(
+        let sampler = etalumis_data::DistributedSampler::new(
             meta,
             SamplerConfig { minibatch: 8, num_ranks: 2, buckets: 1, seed: 4 },
         );
@@ -397,7 +402,7 @@ mod tests {
         let pregen = ds.get_many(&all).unwrap();
         let mut net = IcNetwork::new(small_ic());
         net.pregenerate(pregen.iter());
-        let mut trainer = crate::trainer::Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
+        let mut trainer = Trainer::new(net, Adam::new(LrSchedule::Constant(1e-3)));
         let res = trainer.step(&records);
         assert_eq!(res.used, 16);
         // Compare parameters.
@@ -436,14 +441,8 @@ mod tests {
         // rank left blocking in a collective.
         let bytes = std::fs::read(&ds.shards[0]).unwrap();
         std::fs::write(&ds.shards[0], &bytes[..bytes.len() / 2]).unwrap();
-        let dist = DistConfig {
-            ranks: 2,
-            minibatch_per_rank: 8,
-            epochs: 1,
-            lr: LrSchedule::Constant(1e-3),
-            ..Default::default()
-        };
-        let res = train_distributed(&ds, small_ic(), &dist).map(|_| ());
+        let dist = DistConfig { ranks: 2, lr: LrSchedule::Constant(1e-3), ..Default::default() };
+        let res = train_distributed(epochs(&ds, 1, 0), small_ic(), &dist).map(|_| ());
         assert!(res.is_err(), "a truncated shard must surface as Err, not a panic");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -462,18 +461,70 @@ mod tests {
         ] {
             let dist = DistConfig {
                 ranks: 2,
-                minibatch_per_rank: 8,
-                epochs: 2,
                 strategy,
                 lr: LrSchedule::Constant(1e-3),
-                seed: 9,
                 ..Default::default()
             };
-            let (_, report) = train_distributed(&ds, small_ic(), &dist).unwrap();
+            let (_, report) = train_distributed(epochs(&ds, 2, 9), small_ic(), &dist).unwrap();
             final_losses.push(report.losses.clone());
         }
         assert_eq!(final_losses[0], final_losses[1], "dense vs sparse");
         assert_eq!(final_losses[0], final_losses[2], "dense vs concat");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn three_ranks_reproduce_bit_for_bit_on_both_sources() {
+        // Three ranks are where an arrival-order f32 sum stops being
+        // commutative-safe; every run of the same input must still agree.
+        let (ds, dir) = sorted_dataset("three", 96, 2);
+        let all: Vec<usize> = (0..ds.len()).collect();
+        let records = ds.get_many(&all).unwrap();
+        let dist = DistConfig { ranks: 3, lr: LrSchedule::Constant(2e-3), ..Default::default() };
+        let run = |source: BatchSource<'_>| {
+            let (mut net, report) = train_distributed(source, small_ic(), &dist).unwrap();
+            assert!(!report.losses.is_empty());
+            assert_eq!(report.per_rank_timings.len(), 3);
+            (report.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(), params(&mut net))
+        };
+        let on_epochs = || run(epochs(&ds, 2, 5));
+        assert_eq!(on_epochs(), on_epochs(), "epochs source");
+        let on_stream = || {
+            let channel = TraceChannel::bounded(records.len());
+            for r in records.iter().cloned() {
+                channel.send(r).unwrap();
+            }
+            channel.close();
+            run(BatchSource::Stream { channel: &channel, batch: 8, spill_after: 32, warmup: 32 })
+        };
+        assert_eq!(on_stream(), on_stream(), "stream source");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn every_rank_of_an_epochs_run_emits_step_and_allreduce_spans() {
+        use etalumis_telemetry::EventKind;
+        let (ds, dir) = sorted_dataset("traced", 64, 3);
+        let tel = Telemetry::enabled();
+        let dist = DistConfig { ranks: 2, tel: tel.clone(), ..Default::default() };
+        let (_, report) = train_distributed(epochs(&ds, 1, 1), small_ic(), &dist).unwrap();
+        let steps = report.losses.len();
+        assert!(steps > 0);
+        let events = tel.drain();
+        for rank in 0..2u32 {
+            let spans = |name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.worker == rank && e.name == name)
+                    .filter(|e| matches!(e.kind, EventKind::Span { .. }))
+                    .count()
+            };
+            // The epochs run out on every rank at once: one last collective
+            // round, no update.
+            assert_eq!(spans("train.step"), steps + 1, "rank {rank}");
+            assert_eq!(spans("train.allreduce_wait"), steps + 1, "rank {rank}");
+            assert_eq!(spans("train.optimizer"), steps, "rank {rank}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,25 +15,15 @@
 //! identical code path — over the shards a teed streaming run wrote, it
 //! reproduces the live run's losses and weights bit for bit.
 //!
-//! [`train_stream_distributed`] runs the rank-parallel variant with the
-//! same failure discipline as [`crate::train_distributed`]: an exhausted
-//! rank still participates in the iteration's collectives with an empty
-//! minibatch and raises a bit through the loss reduction, so every rank
-//! leaves the loop at the same synchronization point, before the optimizer
-//! step — replicas stay bit-identical and the trailing partial round is
-//! discarded rather than applied unevenly.
+//! The rank-parallel variant is [`crate::train_distributed`] over a
+//! [`crate::BatchSource::Stream`]: the same release sequence, the same
+//! step loop, with peers.
 
-use crate::allreduce::{AllReduceCtx, AllReduceStrategy};
-use crate::distributed::{allreduce_network, DistReport};
-use crate::network::{IcConfig, IcNetwork};
-use crate::trainer::{accumulate_minibatch, PhaseTimings, TrainLog, Trainer};
+use crate::trainer::{TrainLog, Trainer};
 use etalumis_data::{
     stream_dataset_into, BucketerConfig, TraceBucketer, TraceChannel, TraceDataset, TraceRecord,
 };
-use etalumis_nn::{Adam, LrSchedule, Module, Optimizer};
-use etalumis_telemetry::Telemetry;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use etalumis_nn::Optimizer;
 
 /// Knobs for the single-rank streaming loop.
 #[derive(Clone, Copy, Debug)]
@@ -95,76 +85,22 @@ pub fn train_stream<O: Optimizer>(
     channel: &TraceChannel,
     cfg: &StreamTrainConfig,
 ) -> StreamTrainReport {
-    let start = Instant::now();
-    let mut warmup = Vec::with_capacity(cfg.warmup);
-    while warmup.len() < cfg.warmup {
-        match channel.recv() {
-            Some(r) => warmup.push(r),
-            None => break,
-        }
-    }
+    let warmup: Vec<TraceRecord> = channel.iter().take(cfg.warmup).collect();
     trainer.net.pregenerate(warmup.iter());
     if cfg.freeze_after_warmup {
         trainer.net.freeze();
     }
-    let mut report = StreamTrainReport { warmup_used: warmup.len(), ..Default::default() };
-    let mut bucketer =
+    let warmup_used = warmup.len();
+    let mut releases =
         TraceBucketer::new(BucketerConfig { batch: cfg.batch, spill_after: cfg.spill_after })
-            .with_telemetry(trainer.tel.clone());
-    let mut steps = 0usize;
-    let mut capped = false;
-    fn take_step<O: Optimizer>(
-        trainer: &mut Trainer<O>,
-        release: Vec<TraceRecord>,
-        report: &mut StreamTrainReport,
-        steps: &mut usize,
-        capped: &mut bool,
-        cfg: &StreamTrainConfig,
-        channel: &TraceChannel,
-    ) {
-        let res = trainer.step(&release);
-        report.log.losses.push((*steps, res.loss));
-        report.log.traces_seen += res.used;
-        *steps += 1;
-        if let Some(cap) = cfg.max_steps {
-            if *steps >= cap {
-                *capped = true;
-                // Tell the producer we are gone: it drains instead of
-                // blocking forever on a full channel nobody reads.
-                channel.close();
-            }
-        }
-    }
-    for rec in warmup {
-        if capped {
-            break;
-        }
-        if let Some(release) = bucketer.push(rec) {
-            take_step(trainer, release, &mut report, &mut steps, &mut capped, cfg, channel);
-        }
-    }
-    while !capped {
-        match channel.recv() {
-            Some(rec) => {
-                if let Some(release) = bucketer.push(rec) {
-                    take_step(trainer, release, &mut report, &mut steps, &mut capped, cfg, channel);
-                }
-            }
-            None => break,
-        }
-    }
-    while !capped {
-        match bucketer.flush() {
-            Some(release) => {
-                take_step(trainer, release, &mut report, &mut steps, &mut capped, cfg, channel)
-            }
-            None => break,
-        }
-    }
-    let (fills, spills) = bucketer.release_counts();
-    (report.fills, report.spills) = (fills as usize, spills as usize);
-    report.log.wall_secs = start.elapsed().as_secs_f64();
-    report
+            .with_telemetry(trainer.tel.clone())
+            .releases(warmup.into_iter().chain(channel.iter()));
+    let run = trainer.run(releases.by_ref().map(Ok), None, cfg.max_steps);
+    // Tell the producer we are gone: after a `max_steps` stop it drains
+    // instead of blocking forever on a full channel nobody reads.
+    channel.close();
+    let (fills, spills) = releases.release_counts();
+    StreamTrainReport { log: run.log, warmup_used, fills: fills as usize, spills: spills as usize }
 }
 
 /// Replay a dataset through the exact [`train_stream`] code path.
@@ -195,294 +131,13 @@ pub fn train_stream_offline<O: Optimizer>(
     })
 }
 
-/// Knobs for the rank-parallel streaming loop.
-#[derive(Clone, Debug)]
-pub struct StreamDistConfig {
-    /// Number of rank threads.
-    pub ranks: usize,
-    /// Sub-minibatch size a bucket releases at.
-    pub batch: usize,
-    /// Bucketer spill threshold (see [`StreamTrainConfig::spill_after`]).
-    pub spill_after: usize,
-    /// Records pulled off the stream head to pre-generate every replica
-    /// identically. The replicas are then frozen — live address discovery
-    /// would grow each rank's parameter set differently and break the
-    /// allreduce.
-    pub warmup: usize,
-    /// Cap on iterations per rank (None = run until the stream ends).
-    pub max_iterations: Option<usize>,
-    /// Gradient-reduction strategy.
-    pub strategy: AllReduceStrategy,
-    /// Learning-rate schedule for Adam.
-    pub lr: LrSchedule,
-    /// Optional LARC trust coefficient (Adam-LARC when set).
-    pub larc_trust: Option<f64>,
-    /// Telemetry handle (disabled by default). When enabled, each rank
-    /// emits worker-scoped `train.step` spans with nested `train.batch_read`
-    /// / `train.forward` / `train.backward` / `train.allreduce_wait` /
-    /// `train.optimizer` phases, plus `train.steps` counters and a
-    /// `train.sub_minibatches` gauge per iteration.
-    pub tel: Telemetry,
-}
-
-impl Default for StreamDistConfig {
-    fn default() -> Self {
-        Self {
-            ranks: 2,
-            batch: 16,
-            spill_after: 256,
-            warmup: 64,
-            max_iterations: None,
-            strategy: AllReduceStrategy::SparseConcat,
-            lr: LrSchedule::Constant(1e-3),
-            larc_trust: None,
-            tel: Telemetry::disabled(),
-        }
-    }
-}
-
-/// The distributor → rank hand-off: released sub-minibatches, indexed
-/// globally so rank `r` owns release `it * ranks + r` of iteration `it` —
-/// a deterministic assignment no scheduling can perturb.
-struct ReleaseFeed {
-    state: Mutex<FeedState>,
-    cond: Condvar,
-}
-
-struct FeedState {
-    releases: Vec<Option<Vec<TraceRecord>>>,
-    done: bool,
-}
-
-impl ReleaseFeed {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(FeedState { releases: Vec::new(), done: false }),
-            cond: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FeedState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn push(&self, release: Vec<TraceRecord>) {
-        let mut st = self.lock();
-        st.releases.push(Some(release));
-        // Notify while the state lock is held: a rank that just failed its
-        // predicate cannot slip between this publish and the wakeup.
-        self.cond.notify_all();
-        drop(st);
-    }
-
-    fn finish(&self) {
-        let mut st = self.lock();
-        st.done = true;
-        // Notify under the lock so a rank mid-predicate-check cannot miss
-        // the done flag and park forever.
-        self.cond.notify_all();
-        drop(st);
-    }
-
-    /// Take global release `i`, blocking until it exists; `None` once the
-    /// feed is finished with fewer than `i + 1` releases (this rank's side
-    /// of the stream is exhausted).
-    fn take(&self, i: usize) -> Option<Vec<TraceRecord>> {
-        let mut st = self.lock();
-        loop {
-            if i < st.releases.len() {
-                return st.releases[i].take();
-            }
-            if st.done {
-                return None;
-            }
-            st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Rank-parallel streaming training over a live trace channel.
-///
-/// A distributor thread pulls the channel, buckets records by trace type,
-/// and publishes released sub-minibatches to a shared feed; rank `r`
-/// consumes releases `it * ranks + r`, so the work split is a pure
-/// function of the stream — identical for any timing. Every iteration the
-/// ranks allreduce gradients plus `[loss·used, used, exhausted]`; when any
-/// rank runs out of releases the reduced exhausted-bit sends *all* ranks
-/// out of the loop together, before the optimizer step, exactly like the
-/// failure bit in [`crate::train_distributed`] — so the replicas finish
-/// bit-identical and the trailing partial round trains nobody.
-///
-/// Returns the rank-0 network (all replicas are identical) and the run
-/// report.
-pub fn train_stream_distributed(
-    channel: &TraceChannel,
-    net_config: IcConfig,
-    cfg: &StreamDistConfig,
-) -> (IcNetwork, DistReport) {
-    let ranks = cfg.ranks.max(1);
-    let mut warmup = Vec::with_capacity(cfg.warmup);
-    while warmup.len() < cfg.warmup {
-        match channel.recv() {
-            Some(r) => warmup.push(r),
-            None => break,
-        }
-    }
-    let feed = ReleaseFeed::new();
-    let losses: Mutex<Vec<Vec<f64>>> = Mutex::new(vec![Vec::new(); ranks]);
-    let timings: Mutex<Vec<Vec<PhaseTimings>>> = Mutex::new(vec![Vec::new(); ranks]);
-    let traces_total = std::sync::atomic::AtomicUsize::new(0);
-    let comm_elems = std::sync::atomic::AtomicUsize::new(0);
-    let nets: Mutex<Vec<Option<IcNetwork>>> = Mutex::new((0..ranks).map(|_| None).collect());
-    let ctx = AllReduceCtx::new(ranks);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        // Distributor: warm-up prefix first (training order matches the
-        // single-rank loop), then the live stream, then the flush.
-        let warmup_for_feed = warmup.clone();
-        let feed_ref = &feed;
-        let feed_tel = cfg.tel.clone();
-        s.spawn(move || {
-            let mut bucketer = TraceBucketer::new(BucketerConfig {
-                batch: cfg.batch,
-                spill_after: cfg.spill_after,
-            })
-            .with_telemetry(feed_tel);
-            for rec in warmup_for_feed {
-                if let Some(release) = bucketer.push(rec) {
-                    feed_ref.push(release);
-                }
-            }
-            while let Some(rec) = channel.recv() {
-                if let Some(release) = bucketer.push(rec) {
-                    feed_ref.push(release);
-                }
-            }
-            while let Some(release) = bucketer.flush() {
-                feed_ref.push(release);
-            }
-            feed_ref.finish();
-        });
-        for rank in 0..ranks {
-            let ctx = &ctx;
-            let feed = &feed;
-            let warmup = &warmup;
-            let losses = &losses;
-            let timings = &timings;
-            let traces_total = &traces_total;
-            let comm_elems = &comm_elems;
-            let nets = &nets;
-            let net_config = net_config.clone();
-            s.spawn(move || {
-                let _tel_scope = cfg.tel.worker_scope(rank as u32);
-                let mut net = IcNetwork::new(net_config);
-                net.pregenerate(warmup.iter());
-                // Frozen replicas: live address discovery would grow each
-                // rank's parameter set differently and break the allreduce.
-                net.freeze();
-                let mut opt = match cfg.larc_trust {
-                    Some(t) => Adam::with_larc(cfg.lr.clone(), t),
-                    None => Adam::new(cfg.lr.clone()),
-                };
-                let mut it = 0usize;
-                loop {
-                    if let Some(cap) = cfg.max_iterations {
-                        if it >= cap {
-                            break;
-                        }
-                    }
-                    let mut t = PhaseTimings::default();
-                    // Dropped at end-of-iteration (or at the exhausted
-                    // break, where it covers the final collective round) so
-                    // the phase records below nest under it.
-                    let step_span = cfg.tel.span("train.step");
-                    let t0 = Instant::now();
-                    // An exhausted rank cannot simply leave: the others are
-                    // already committed to this iteration's collectives.
-                    // Participate with an empty minibatch (zero gradients)
-                    // and raise the bit through the reduction.
-                    let (records, exhausted) = match feed.take(it * ranks + rank) {
-                        Some(r) => (r, 0.0),
-                        None => (Vec::new(), 1.0),
-                    };
-                    t.batch_read = t0.elapsed().as_secs_f64();
-                    let res = accumulate_minibatch(&mut net, &records);
-                    t.forward = res.timings.forward;
-                    t.backward = res.timings.backward;
-                    let ts = Instant::now();
-                    let elems = allreduce_network(ctx, &mut net, cfg.strategy);
-                    let mut stats = [res.loss * res.used as f64, res.used as f64, exhausted];
-                    {
-                        let mut f32buf = [stats[0] as f32, stats[1] as f32, stats[2] as f32];
-                        ctx.reduce_sum(&mut f32buf);
-                        stats = [f32buf[0] as f64, f32buf[1] as f64, f32buf[2] as f64];
-                    }
-                    t.sync = ts.elapsed().as_secs_f64();
-                    if stats[2] > 0.0 {
-                        // Some rank ran out of stream: every rank sees the
-                        // same reduced bit and leaves here, before the
-                        // optimizer step — replicas identical, the partial
-                        // round discarded.
-                        break;
-                    }
-                    let topt = Instant::now();
-                    opt.begin_step();
-                    net.visit_params("", &mut |n, p| opt.update(n, p));
-                    t.optimizer = topt.elapsed().as_secs_f64();
-                    if cfg.tel.is_enabled() {
-                        let tel = &cfg.tel;
-                        tel.span_record("train.batch_read", Duration::from_secs_f64(t.batch_read));
-                        tel.span_record("train.forward", Duration::from_secs_f64(t.forward));
-                        tel.span_record("train.backward", Duration::from_secs_f64(t.backward));
-                        tel.span_record("train.allreduce_wait", Duration::from_secs_f64(t.sync));
-                        tel.span_record("train.optimizer", Duration::from_secs_f64(t.optimizer));
-                        tel.gauge("train.sub_minibatches", res.sub_minibatches as f64);
-                        tel.count("train.steps", 1);
-                        crate::trainer::record_kernel_telemetry(tel);
-                    }
-                    drop(step_span);
-                    let global_loss = if stats[1] > 0.0 { stats[0] / stats[1] } else { f64::NAN };
-                    losses.lock().unwrap_or_else(|e| e.into_inner())[rank].push(global_loss);
-                    timings.lock().unwrap_or_else(|e| e.into_inner())[rank].push(t);
-                    traces_total.fetch_add(res.used, std::sync::atomic::Ordering::Relaxed);
-                    comm_elems.fetch_add(elems, std::sync::atomic::Ordering::Relaxed);
-                    it += 1;
-                }
-                // Drain this rank's leftover feed slots so the distributor
-                // is never stuck: nothing to do — the feed never blocks on
-                // consumers. But if we leave because of the iteration cap,
-                // the producer may still be pumping the channel; close it
-                // so it drains instead of blocking forever.
-                if cfg.max_iterations.is_some() {
-                    channel.close();
-                }
-                nets.lock().unwrap_or_else(|e| e.into_inner())[rank] = Some(net);
-            });
-        }
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let losses = losses.into_inner().unwrap_or_else(|e| e.into_inner());
-    let timings = timings.into_inner().unwrap_or_else(|e| e.into_inner());
-    let iters_done = losses[0].len();
-    let report = DistReport {
-        losses: losses[0].clone(),
-        per_rank_timings: timings,
-        traces_total: traces_total.into_inner(),
-        wall_secs: wall,
-        comm_elems_per_iter: if iters_done > 0 {
-            comm_elems.into_inner() as f64 / (iters_done * ranks) as f64
-        } else {
-            0.0
-        },
-    };
-    let net = nets.into_inner().unwrap_or_else(|e| e.into_inner()).remove(0).expect("rank 0 net"); // etalumis: allow(panic-freedom, reason = "one network per rank by construction")
-    (net, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{IcConfig, IcNetwork};
+    use crate::{train_distributed, BatchSource, DistConfig};
     use etalumis_core::Executor;
+    use etalumis_nn::{Adam, LrSchedule, Module};
     use etalumis_simulators::BranchingModel;
 
     fn records(n: usize, seed: u64) -> Vec<TraceRecord> {
@@ -591,17 +246,14 @@ mod tests {
     #[test]
     fn distributed_streaming_replicas_are_bit_identical_and_loss_falls() {
         let recs = records(256, 11);
-        let cfg = StreamDistConfig {
-            ranks: 2,
-            batch: 8,
-            spill_after: 64,
-            warmup: 64,
-            lr: LrSchedule::Constant(2e-3),
-            ..Default::default()
+        let dist = DistConfig { ranks: 2, lr: LrSchedule::Constant(2e-3), ..Default::default() };
+        let run = |chan: &TraceChannel| {
+            let source =
+                BatchSource::Stream { channel: chan, batch: 8, spill_after: 64, warmup: 64 };
+            train_distributed(source, IcConfig::small([1, 1, 1], 9), &dist).unwrap()
         };
         let chan = feed_channel(recs.clone(), 0);
-        let (mut net_a, report) =
-            train_stream_distributed(&chan, IcConfig::small([1, 1, 1], 9), &cfg);
+        let (mut net_a, report) = run(&chan);
         assert!(!report.losses.is_empty());
         let n = report.losses.len();
         assert!(
@@ -612,8 +264,7 @@ mod tests {
         );
         // Determinism: the identical stream reproduces the identical model.
         let chan = feed_channel(recs, 0);
-        let (mut net_b, report_b) =
-            train_stream_distributed(&chan, IcConfig::small([1, 1, 1], 9), &cfg);
+        let (mut net_b, report_b) = run(&chan);
         assert_eq!(report.losses, report_b.losses);
         assert_eq!(params(&mut net_a), params(&mut net_b));
     }

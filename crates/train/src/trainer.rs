@@ -1,9 +1,11 @@
-//! Single-process IC training (the per-rank inner loop of Algorithm 2).
+//! Single-process IC training, and the step loop every training entry
+//! point runs (the per-rank inner loop of Algorithm 2).
 //!
 //! A minibatch is split into sub-minibatches by trace type (Algorithm 1),
 //! each processed in one batched forward/backward pass; gradients are scaled
 //! by 1/B, optionally clipped, and applied with the configured optimizer.
 
+use crate::allreduce::RankSeat;
 use crate::network::IcNetwork;
 use etalumis_data::{DistributedSampler, SamplerConfig, TraceDataset, TraceRecord};
 use etalumis_nn::{clip_grad_norm, Module, Optimizer};
@@ -29,7 +31,13 @@ pub struct PhaseTimings {
 impl PhaseTimings {
     /// Total time across all phases.
     pub fn total(&self) -> f64 {
-        self.batch_read + self.forward + self.backward + self.optimizer + self.sync
+        self.work() + self.sync
+    }
+
+    /// Time spent working, i.e. every phase but `sync` (the wait for the
+    /// slowest rank).
+    pub fn work(&self) -> f64 {
+        self.batch_read + self.forward + self.backward + self.optimizer
     }
 
     /// Elementwise sum.
@@ -190,8 +198,17 @@ impl<O: Optimizer> Trainer<O> {
 
     /// One synchronous step on a minibatch; returns the step result.
     pub fn step(&mut self, records: &[TraceRecord]) -> StepResult {
-        let step_span = self.tel.span("train.step");
+        let _step = self.tel.span("train.step");
         let mut res = accumulate_minibatch(&mut self.net, records);
+        self.update(&mut res);
+        res
+    }
+
+    /// Update half of a step, after [`accumulate_minibatch`] (and, on a
+    /// distributed rank, the gradient allreduce): the optional gradient
+    /// clip, then the optimizer. Records the optimizer time in `res` and
+    /// emits the step's `train.*` telemetry.
+    pub fn update(&mut self, res: &mut StepResult) {
         if let Some(c) = self.grad_clip {
             clip_grad_norm(&mut self.net, c);
         }
@@ -208,8 +225,6 @@ impl<O: Optimizer> Trainer<O> {
             self.tel.count("train.steps", 1);
             record_kernel_telemetry(&self.tel);
         }
-        drop(step_span);
-        res
     }
 
     /// Evaluate mean loss on records without touching the weights.
@@ -233,29 +248,124 @@ impl<O: Optimizer> Trainer<O> {
         epochs: usize,
         seed: u64,
     ) -> std::io::Result<TrainLog> {
-        let meta: Vec<(u64, u32)> = (0..dataset.len()).map(|i| dataset.meta(i)).collect();
-        let sampler = DistributedSampler::try_new(
-            meta,
-            SamplerConfig { minibatch, num_ranks: 1, buckets: 1, seed },
-        )?;
-        let mut log = TrainLog::default();
-        let start = Instant::now();
-        let mut iter = 0usize;
-        for e in 0..epochs {
-            let plan = sampler.epoch(e);
-            for mb in &plan.per_rank[0] {
-                let read_started = Instant::now();
-                let records = dataset.get_many(mb)?;
-                self.tel.span_record("train.batch_read", read_started.elapsed());
-                let res = self.step(&records);
-                log.losses.push((iter, res.loss));
-                log.traces_seen += res.used;
-                iter += 1;
-            }
+        let sampler =
+            epoch_sampler(dataset, SamplerConfig { minibatch, num_ranks: 1, buckets: 1, seed })?;
+        let run = self.run(epoch_batches(dataset, &sampler, epochs, 0), None, None);
+        match run.error {
+            Some(e) => Err(e),
+            None => Ok(run.log),
         }
-        log.wall_secs = start.elapsed().as_secs_f64();
-        Ok(log)
     }
+
+    /// The step loop of every training entry point: one step per minibatch
+    /// `batches` yields, until it runs dry, a read fails, or `max_steps`
+    /// steps are done.
+    ///
+    /// With a `seat`, this is one rank of a synchronous data-parallel run:
+    /// gradients and the `[loss·used, used, leave]` statistics are reduced
+    /// across ranks between the two halves of each step, and the logged
+    /// loss is the global one. A rank left without a minibatch cannot just
+    /// stop, because its peers are already committed to the step's
+    /// collectives and would block forever. It steps with an empty
+    /// minibatch (zero gradients) and raises the leave bit through the
+    /// reduction instead, so every rank leaves at the same synchronization
+    /// point, before the update: the replicas stay bit-identical and the
+    /// partial round trains nobody.
+    pub(crate) fn run(
+        &mut self,
+        mut batches: impl Iterator<Item = std::io::Result<Vec<TraceRecord>>>,
+        seat: Option<&RankSeat<'_>>,
+        max_steps: Option<usize>,
+    ) -> RankRun {
+        let start = Instant::now();
+        let mut run = RankRun::default();
+        while max_steps.is_none_or(|cap| run.log.losses.len() < cap) {
+            let read_started = Instant::now();
+            let next = batches.next();
+            let batch_read = read_started.elapsed();
+            let (records, leave) = match next {
+                Some(Ok(records)) => (records, false),
+                Some(Err(e)) => {
+                    run.error = Some(e);
+                    (Vec::new(), true)
+                }
+                None => (Vec::new(), true),
+            };
+            if leave && seat.is_none() {
+                break;
+            }
+            self.tel.span_record("train.batch_read", batch_read);
+            let step_span = self.tel.span("train.step");
+            let mut res = accumulate_minibatch(&mut self.net, &records);
+            res.timings.batch_read = batch_read.as_secs_f64();
+            let mut loss = res.loss;
+            let mut comm_elems = 0;
+            if let Some(seat) = seat {
+                let sync_started = Instant::now();
+                comm_elems = seat.average_gradients(&mut self.net);
+                let mut stats = [
+                    (res.loss * res.used as f64) as f32,
+                    res.used as f32,
+                    f32::from(u8::from(leave)),
+                ];
+                seat.ctx.reduce_sum(seat.rank, &mut stats);
+                let sync = sync_started.elapsed();
+                res.timings.sync = sync.as_secs_f64();
+                self.tel.span_record("train.allreduce_wait", sync);
+                if stats[2] > 0.0 {
+                    break;
+                }
+                loss = if stats[1] > 0.0 {
+                    f64::from(stats[0]) / f64::from(stats[1])
+                } else {
+                    f64::NAN
+                };
+            }
+            self.update(&mut res);
+            drop(step_span);
+            run.log.losses.push((run.log.losses.len(), loss));
+            run.log.traces_seen += res.used;
+            run.timings.push(res.timings);
+            run.comm_elems += comm_elems;
+        }
+        run.log.wall_secs = start.elapsed().as_secs_f64();
+        run
+    }
+}
+
+/// What one rank's step loop ([`Trainer::run`]) leaves behind.
+#[derive(Debug, Default)]
+pub(crate) struct RankRun {
+    /// Logged loss of every completed step, traces used, loop wall time.
+    pub log: TrainLog,
+    /// Phase timings of every completed step.
+    pub timings: Vec<PhaseTimings>,
+    /// Scalar elements this rank communicated over the completed steps.
+    pub comm_elems: usize,
+    /// The minibatch read error that ended the loop, if one did.
+    pub error: Option<std::io::Error>,
+}
+
+/// The sampler that plans a dataset's epochs.
+pub(crate) fn epoch_sampler(
+    dataset: &TraceDataset,
+    cfg: SamplerConfig,
+) -> std::io::Result<DistributedSampler> {
+    let meta = (0..dataset.len()).map(|i| dataset.meta(i)).collect();
+    DistributedSampler::try_new(meta, cfg)
+}
+
+/// Rank `rank`'s minibatches over `epochs` epochs of the sampler's plan,
+/// each read from the dataset when the loop asks for it.
+pub(crate) fn epoch_batches<'a>(
+    dataset: &'a TraceDataset,
+    sampler: &'a DistributedSampler,
+    epochs: usize,
+    rank: usize,
+) -> impl Iterator<Item = std::io::Result<Vec<TraceRecord>>> + 'a {
+    (0..epochs)
+        .flat_map(move |e| sampler.epoch(e).per_rank.swap_remove(rank))
+        .map(|minibatch| dataset.get_many(&minibatch))
 }
 
 #[cfg(test)]

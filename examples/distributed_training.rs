@@ -6,7 +6,7 @@
 use etalumis_data::{generate_dataset, sort_dataset};
 use etalumis_nn::LrSchedule;
 use etalumis_simulators::BranchingModel;
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig};
+use etalumis_train::{train_distributed, AllReduceStrategy, BatchSource, DistConfig, IcConfig};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("etalumis_dist_example_{}", std::process::id()));
@@ -25,20 +25,23 @@ fn main() {
     );
 
     // Two ranks, synchronous SGD with the sparse+concatenated allreduce.
-    let dist = DistConfig {
-        ranks: 2,
+    let source = BatchSource::Epochs {
+        dataset: &ds,
         minibatch_per_rank: 16,
         epochs: 4,
+        buckets: 1,
+        seed: 7,
+    };
+    let dist = DistConfig {
+        ranks: 2,
         strategy: AllReduceStrategy::SparseConcat,
         lr: LrSchedule::Polynomial { initial: 2e-3, final_lr: 2e-4, order: 2, total_iters: 60 },
         larc_trust: Some(1e-2),
-        buckets: 1,
-        seed: 7,
-        max_iterations: None,
+        ..Default::default()
     };
     println!("\ntraining on {} rank threads (Adam-LARC, polynomial decay)...", dist.ranks);
     let (net, report) =
-        train_distributed(&ds, IcConfig::small([1, 1, 1], 3), &dist).expect("dataset read");
+        train_distributed(source, IcConfig::small([1, 1, 1], 3), &dist).expect("dataset read");
     println!(
         "done: {} iterations, {} traces, {:.0} traces/s, loss {:.3} -> {:.3}",
         report.losses.len(),
@@ -64,7 +67,9 @@ fn main() {
     ] {
         println!("  {name:<12} {a:>10.4} {b:>10.4}");
     }
-    let imb = (actual.total() / best.total() - 1.0) * 100.0;
+    // Over the work phases only: the slowest rank waits least at the
+    // barrier, so `sync` would pull its total below the mean.
+    let imb = (actual.work() / best.work() - 1.0) * 100.0;
     println!("  load imbalance: {imb:.1}%");
     println!(
         "  mean gradient elements communicated per rank-iteration: {:.0}",

@@ -6,7 +6,7 @@
 use etalumis::prelude::*;
 use etalumis_data::{generate_dataset, sort_dataset, TraceRecord};
 use etalumis_nn::{Adam, LrSchedule};
-use etalumis_train::{train_distributed, AllReduceStrategy, DistConfig, IcConfig};
+use etalumis_train::{train_distributed, AllReduceStrategy, BatchSource, DistConfig, IcConfig};
 
 #[test]
 fn ic_beats_prior_is_on_conjugate_gaussian() {
@@ -56,17 +56,21 @@ fn distributed_pipeline_runs_end_to_end_on_disk() {
     let ds = generate_dataset(&mut model, 256, 64, &dir, 11, true).unwrap();
     let sorted = sort_dataset(&ds, &dir.join("sorted"), 64).unwrap();
     assert!(sorted.is_sorted());
-    let dist = DistConfig {
-        ranks: 2,
+    let source = BatchSource::Epochs {
+        dataset: &sorted,
         minibatch_per_rank: 16,
         epochs: 4,
+        buckets: 1,
+        seed: 3,
+    };
+    let dist = DistConfig {
+        ranks: 2,
         strategy: AllReduceStrategy::SparseConcat,
         lr: LrSchedule::Constant(2e-3),
-        seed: 3,
         ..Default::default()
     };
     let (mut net, report) =
-        train_distributed(&sorted, IcConfig::small([1, 1, 1], 21), &dist).unwrap();
+        train_distributed(source, IcConfig::small([1, 1, 1], 21), &dist).unwrap();
     let n = report.losses.len();
     assert!(n >= 8);
     assert!(

@@ -10,8 +10,8 @@
 //!    (prefix replay + live remainder) carries exactly the shards' content.
 //! 3. **Training reproducibility**: `train_stream` over the live resumed
 //!    channel and `train_stream_offline` over the teed shards produce
-//!    bit-identical losses and weights; the rank-parallel variant is
-//!    equally deterministic, replicas included.
+//!    bit-identical losses and weights; rank-parallel training over the
+//!    stream is equally deterministic, replicas included.
 
 use etalumis::prelude::*;
 use etalumis_data::TraceRecord;
@@ -21,7 +21,7 @@ use etalumis_runtime::{
     KillSwitch,
 };
 use etalumis_simulators::BranchingModel;
-use etalumis_train::{train_stream_distributed, StreamDistConfig, StreamTrainReport};
+use etalumis_train::{train_distributed, BatchSource, DistConfig, StreamTrainReport};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -243,14 +243,10 @@ proptest! {
 fn distributed_stream_training_is_reproducible_from_teed_shards() {
     let cfg = gen_cfg(120, 42, 3);
     let ckpt = CheckpointConfig { interval: 10 };
-    let dist_cfg = StreamDistConfig {
-        ranks: 2,
-        batch: 8,
-        spill_after: 32,
-        warmup: 32,
-        lr: LrSchedule::Constant(2e-3),
-        ..Default::default()
-    };
+    let dist_cfg = DistConfig { ranks: 2, lr: LrSchedule::Constant(2e-3), ..Default::default() };
+    fn source(channel: &TraceChannel) -> BatchSource<'_> {
+        BatchSource::Stream { channel, batch: 8, spill_after: 32, warmup: 32 }
+    }
 
     let dir = tmpdir("dist");
     let chan = Arc::new(TraceChannel::bounded(5));
@@ -260,7 +256,7 @@ fn distributed_stream_training_is_reproducible_from_teed_shards() {
         let dist_cfg = dist_cfg.clone();
         let net_cfg = net_cfg.clone();
         std::thread::spawn(move || {
-            let (mut net, report) = train_stream_distributed(&chan, net_cfg, &dist_cfg);
+            let (mut net, report) = train_distributed(source(&chan), net_cfg, &dist_cfg).unwrap();
             (params(&mut net), report)
         })
     };
@@ -281,7 +277,7 @@ fn distributed_stream_training_is_reproducible_from_teed_shards() {
             chan.close();
         })
     };
-    let (mut net, report) = train_stream_distributed(&chan, net_cfg, &dist_cfg);
+    let (mut net, report) = train_distributed(source(&chan), net_cfg, &dist_cfg).unwrap();
     replay.join().unwrap();
     assert_eq!(live_report.losses, report.losses, "loss trajectories must match bit for bit");
     assert_eq!(live_params, params(&mut net), "replica weights must match bit for bit");
