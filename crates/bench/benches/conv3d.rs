@@ -3,10 +3,16 @@
 //! Paper: "the heavily used 3D convolution kernel achieved an 8x
 //! improvement" from the MKL-DNN blocked layout + SIMD vectorization.
 //! The workload is the first conv layer of the observation encoder on the
-//! paper's 20×35×35 voxel observations.
+//! paper's 20×35×35 voxel observations, plus a mid-stack layer. The
+//! backward rows time the blocked backward kernels on the same layers: the
+//! weight gradient of both, and the input gradient of the mid-stack layer
+//! only (layer 1's input is the observation, whose gradient training never
+//! computes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etalumis_tensor::conv::{conv3d_blocked, conv3d_naive};
+use etalumis_tensor::conv::{
+    conv3d_backward_data, conv3d_backward_weights, conv3d_blocked, conv3d_naive,
+};
 use etalumis_tensor::{Conv3dSpec, Tensor};
 use std::hint::black_box;
 use std::time::Duration;
@@ -25,6 +31,10 @@ fn bench(c: &mut Criterion) {
     group.bench_function("layer1_1to64_blocked", |b| {
         b.iter(|| black_box(conv3d_blocked(black_box(&x1), &w1, &b1, &spec1)))
     });
+    let g1 = Tensor::from_fn(&[1, 64, 20, 35, 35], |i| ((i * 5) % 23) as f32 * 0.01 - 0.1);
+    group.bench_function("layer1_1to64_bwd_weights", |b| {
+        b.iter(|| black_box(conv3d_backward_weights(black_box(&x1), black_box(&g1), &spec1)))
+    });
     // ... and a mid-stack layer (64→64 on the pooled volume) where channel
     // blocking matters most.
     let spec2 = Conv3dSpec { in_c: 64, out_c: 64, k: 3, pad: 1 };
@@ -36,6 +46,13 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("layer3_64to64_blocked", |b| {
         b.iter(|| black_box(conv3d_blocked(black_box(&x2), &w2, &b2, &spec2)))
+    });
+    let g2 = Tensor::from_fn(&[1, 64, 10, 17, 17], |i| ((i * 7) % 29) as f32 * 0.01 - 0.14);
+    group.bench_function("layer3_64to64_bwd_data", |b| {
+        b.iter(|| black_box(conv3d_backward_data(black_box(&g2), &w2, &spec2, (10, 17, 17))))
+    });
+    group.bench_function("layer3_64to64_bwd_weights", |b| {
+        b.iter(|| black_box(conv3d_backward_weights(black_box(&x2), black_box(&g2), &spec2)))
     });
     group.finish();
 }

@@ -1,7 +1,8 @@
 //! Raw kernel throughput: GEMM and Conv3d GFLOP/s per backend.
 //!
 //! The compute spine of training is the blocked GEMM (LSTM + dense layers)
-//! and the channels-blocked Conv3d (observation encoder). This bench times
+//! and the channels-blocked Conv3d (observation encoder: forward, input
+//! gradient and weight gradient). This bench times
 //! each micro-kernel under every dispatch choice — scalar fallback, AVX2+FMA
 //! (when the host has it), and the pooled-parallel path — and snapshots
 //! analytic GFLOP/s (via [`etalumis_tensor::flops`]) to `BENCH_kernels.json`
@@ -11,7 +12,7 @@
 //! `kernel_identity` proptests); this bench measures only speed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use etalumis_tensor::conv::conv3d_blocked;
+use etalumis_tensor::conv::{conv3d_backward_data, conv3d_backward_weights, conv3d_blocked};
 use etalumis_tensor::gemm::matmul;
 use etalumis_tensor::simd::{avx2_available, set_backend_override, Backend};
 use etalumis_tensor::{pool, Conv3dSpec, Tensor};
@@ -76,7 +77,8 @@ fn bench(c: &mut Criterion) {
 }
 
 /// Not a timing loop: manual throughput sweep snapshotted to
-/// `BENCH_kernels.json` (GEMM + Conv3d GFLOP/s per backend) for CI.
+/// `BENCH_kernels.json` (GEMM + Conv3d forward/backward GFLOP/s per
+/// backend) for CI. Each Conv3d backward kernel does the forward's flops.
 fn emit_snapshot(_c: &mut Criterion) {
     let (n, reps, conv_reps) = if quick() { (128, 20, 6) } else { (256, 20, 10) };
     let a = rand_tensor(&[n, n], 1);
@@ -89,22 +91,36 @@ fn emit_snapshot(_c: &mut Criterion) {
     let wt = rand_tensor(&[spec.out_c, spec.in_c, 3, 3, 3], 4);
     let bias = vec![0.1f32; spec.out_c];
     let conv_flops = spec.flops(2, d, h, w);
+    let g = rand_tensor(&[2, spec.out_c, d, h, w], 5);
 
     let mut gemm_rows = String::new();
     let mut conv_rows = String::new();
+    let mut bwd_data_rows = String::new();
+    let mut bwd_weights_rows = String::new();
     for (i, (label, backend, parallel)) in configs().into_iter().enumerate() {
         set_backend_override(backend);
         pool::set_parallel(parallel);
-        let g = gflops(reps, gemm_flops, || {
+        let gm = gflops(reps, gemm_flops, || {
             black_box(matmul(black_box(&a), black_box(&b)));
         });
         let cv = gflops(conv_reps, conv_flops, || {
             black_box(conv3d_blocked(black_box(&x), black_box(&wt), &bias, &spec));
         });
+        let bd = gflops(conv_reps, conv_flops, || {
+            black_box(conv3d_backward_data(black_box(&g), black_box(&wt), &spec, (d, h, w)));
+        });
+        let bw = gflops(conv_reps, conv_flops, || {
+            black_box(conv3d_backward_weights(black_box(&x), black_box(&g), &spec));
+        });
         let sep = if i == 0 { "" } else { ",\n" };
-        gemm_rows.push_str(&format!("{sep}      \"{label}_gflops\": {g:.3}"));
+        gemm_rows.push_str(&format!("{sep}      \"{label}_gflops\": {gm:.3}"));
         conv_rows.push_str(&format!("{sep}      \"{label}_gflops\": {cv:.3}"));
-        println!("kernels[{label}]: gemm {g:.2} GFLOP/s, conv3d {cv:.2} GFLOP/s");
+        bwd_data_rows.push_str(&format!("{sep}      \"{label}_gflops\": {bd:.3}"));
+        bwd_weights_rows.push_str(&format!("{sep}      \"{label}_gflops\": {bw:.3}"));
+        println!(
+            "kernels[{label}]: gemm {gm:.2} GFLOP/s, conv3d {cv:.2} GFLOP/s \
+             (backward data {bd:.2}, backward weights {bw:.2})"
+        );
     }
     set_backend_override(None);
     pool::set_parallel(true);
@@ -114,7 +130,9 @@ fn emit_snapshot(_c: &mut Criterion) {
          \"pool_threads\": {},\n  \"gemm\": {{\n    \"m\": {n}, \"k\": {n}, \"n\": {n},\n    \
          \"gflops\": {{\n{gemm_rows}\n    }}\n  }},\n  \"conv3d\": {{\n    \
          \"in_c\": {}, \"out_c\": {}, \"dhw\": [{d}, {h}, {w}],\n    \
-         \"gflops\": {{\n{conv_rows}\n    }}\n  }}\n}}\n",
+         \"gflops\": {{\n{conv_rows}\n    }}\n  }},\n  \"conv3d_backward_data\": {{\n    \
+         \"gflops\": {{\n{bwd_data_rows}\n    }}\n  }},\n  \"conv3d_backward_weights\": {{\n    \
+         \"gflops\": {{\n{bwd_weights_rows}\n    }}\n  }}\n}}\n",
         quick(),
         avx2_available(),
         pool::num_threads(),

@@ -206,8 +206,9 @@ impl Cnn3d {
     }
 
     /// Backward from an embedding gradient [B, embedding_dim]; accumulates
-    /// parameter gradients. The input gradient is not returned (observations
-    /// are leaves).
+    /// parameter gradients. The input gradient is not computed: stage 0's
+    /// input is the observation batch, a leaf, so the pass stops after
+    /// stage 0's weight and bias gradients.
     pub fn backward(&mut self, grad: &Tensor) {
         let pre = self.fc_relu_cache.pop().expect("Cnn3d::backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
         let dpre = relu_backward(&pre, grad);
@@ -215,7 +216,8 @@ impl Cnn3d {
         let (c, dims) = self.config.output_geometry();
         let b = grad.rows();
         let mut cur = dflat.reshape(&[b, c, dims[0], dims[1], dims[2]]);
-        for stage in self.stages.iter_mut().rev() {
+        for (i, stage) in self.stages.iter_mut().enumerate().rev() {
+            let leaf_input = i == 0;
             match stage {
                 Stage::Conv(cs) => {
                     let x = cs.x_cache.pop().expect("conv backward without forward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
@@ -226,16 +228,20 @@ impl Cnn3d {
                     for (g, d) in cs.b.grad.data_mut().iter_mut().zip(gb.iter()) {
                         *g += d;
                     }
-                    cur = conv3d_backward_data(
-                        &dpre,
-                        &cs.w.value,
-                        &cs.spec,
-                        (cs.in_dims[0], cs.in_dims[1], cs.in_dims[2]),
-                    );
+                    if !leaf_input {
+                        cur = conv3d_backward_data(
+                            &dpre,
+                            &cs.w.value,
+                            &cs.spec,
+                            (cs.in_dims[0], cs.in_dims[1], cs.in_dims[2]),
+                        );
+                    }
                 }
                 Stage::Pool(ps) => {
                     let (arg, in_shape) = ps.arg_cache.pop().expect("pool backward"); // etalumis: allow(panic-freedom, reason = "backward without a matching forward is a call-order contract violation")
-                    cur = maxpool3d_backward(&cur, &arg, &in_shape);
+                    if !leaf_input {
+                        cur = maxpool3d_backward(&cur, &arg, &in_shape);
+                    }
                 }
             }
         }

@@ -11,11 +11,15 @@
 //!   the paper measured **8×** on this kernel.
 //!
 //! Both compute identical results (tested); the training stack uses the
-//! blocked path. Backward kernels (data + weight gradients) are shared.
+//! blocked path. The backward kernels run on the same blocked layout: the
+//! data gradient is a forward blocked convolution over flipped weights and
+//! the weight gradient an 8×8 outer-product tile kernel.
 
 use crate::pool::{self, SendPtr};
 use crate::simd::Kernels;
 use crate::tensor::Tensor;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Channel block size of the packed layout (matches AVX2 8×f32 vectors).
 pub const CBLK: usize = 8;
@@ -128,52 +132,107 @@ pub fn conv3d_naive(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec
 
 /// Pack NCDHW → NCDHW8c: [N, ceil(C/8), D, H, W, 8], zero-padding channels.
 pub fn pack_ncdhw8c(x: &Tensor) -> (Tensor, usize) {
-    let s = x.shape().to_vec();
-    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
+    let s = x.shape();
+    let (n, d, h, w) = (s[0], s[2], s[3], s[4]);
+    let mut buf = Vec::new();
+    let (cb, _) = pack_padded_into(x, 0..n, 0, &mut buf);
+    (Tensor::from_vec(&[n, cb, d, h, w, CBLK], buf), cb)
+}
+
+/// Unpack NCDHW8c back to NCDHW with `c` true channels.
+pub fn unpack_ncdhw8c(xp: &Tensor, c: usize) -> Tensor {
+    let s = xp.shape();
+    assert_eq!(s[5], CBLK);
+    let (n, dims) = (s[0], [s[2], s[3], s[4]]);
+    let mut out = Tensor::zeros(&[n, c, dims[0], dims[1], dims[2]]);
+    unpack_into(xp.data(), s[1], dims, c, out.data_mut());
+    out
+}
+
+/// Budget, in floats, of one packed image chunk: the blocked kernels pack
+/// and process their batch this many floats at a time, so the scratch stays
+/// small and cache-resident however large the batch (a 1-channel input
+/// packs to 8× its size).
+const CHUNK_FLOATS: usize = 1 << 18;
+
+thread_local! {
+    /// Packed-input scratch of the blocked kernels, reused across calls on
+    /// this thread.
+    static PACK_IN: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Blocked-output scratch (forward) / packed-gradient scratch (weight
+    /// gradient).
+    static PACK_OUT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's (packed-input, second) scratch buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
+    PACK_IN.with_borrow_mut(|a| PACK_OUT.with_borrow_mut(|b| f(a, b)))
+}
+
+/// The image ranges a batch of `n` is processed in, at most `chunk_floats`
+/// of packed data (but at least one image) each.
+fn image_chunks(
+    n: usize,
+    floats_per_image: usize,
+    chunk_floats: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    let step = (chunk_floats / floats_per_image.max(1)).max(1);
+    (0..n).step_by(step).map(move |n0| n0..(n0 + step).min(n))
+}
+
+/// Pack images `images` of NCDHW `x` into `buf` as NCDHW8c with `pad` zero
+/// voxels on every spatial side: [n, ceil(C/8), D+2p, H+2p, W+2p, 8].
+/// Returns the channel block count and the padded spatial dims.
+fn pack_padded_into(
+    x: &Tensor,
+    images: Range<usize>,
+    pad: usize,
+    buf: &mut Vec<f32>,
+) -> (usize, [usize; 3]) {
+    let s = x.shape();
+    let (c, d, h, w) = (s[1], s[2], s[3], s[4]);
     let cb = c.div_ceil(CBLK);
-    let mut out = Tensor::zeros(&[n, cb, d, h, w, CBLK]);
+    let (pd, ph, pw) = (d + 2 * pad, h + 2 * pad, w + 2 * pad);
+    buf.clear();
+    buf.resize(images.len() * cb * pd * ph * pw * CBLK, 0.0);
     let xd = x.data();
-    let od = out.data_mut();
-    for ni in 0..n {
+    for (li, ni) in images.enumerate() {
         for ci in 0..c {
             let (b, r) = (ci / CBLK, ci % CBLK);
             for di in 0..d {
                 for hi in 0..h {
                     let src = ((((ni * c) + ci) * d + di) * h + hi) * w;
-                    let dst_base = (((((ni * cb) + b) * d + di) * h + hi) * w) * CBLK + r;
+                    let dst =
+                        (((((li * cb) + b) * pd + di + pad) * ph + hi + pad) * pw + pad) * CBLK + r;
                     for wi in 0..w {
-                        od[dst_base + wi * CBLK] = xd[src + wi];
+                        buf[dst + wi * CBLK] = xd[src + wi];
                     }
                 }
             }
         }
     }
-    (out, cb)
+    (cb, [pd, ph, pw])
 }
 
-/// Unpack NCDHW8c back to NCDHW with `c` true channels.
-pub fn unpack_ncdhw8c(xp: &Tensor, c: usize) -> Tensor {
-    let s = xp.shape().to_vec();
-    let (n, cb, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
-    assert_eq!(s[5], CBLK);
-    let mut out = Tensor::zeros(&[n, c, d, h, w]);
-    let xd = xp.data();
-    let od = out.data_mut();
+/// Unpack an NCDHW8c buffer [n, Cb, D, H, W, 8] into NCDHW `dst` with `c`
+/// channels.
+fn unpack_into(src: &[f32], cb: usize, dims: [usize; 3], c: usize, dst: &mut [f32]) {
+    let [d, h, w] = dims;
+    let n = dst.len() / (c * d * h * w).max(1);
     for ni in 0..n {
         for ci in 0..c {
             let (b, r) = (ci / CBLK, ci % CBLK);
             for di in 0..d {
                 for hi in 0..h {
-                    let dst = ((((ni * c) + ci) * d + di) * h + hi) * w;
+                    let drow = ((((ni * c) + ci) * d + di) * h + hi) * w;
                     let src_base = (((((ni * cb) + b) * d + di) * h + hi) * w) * CBLK + r;
                     for wi in 0..w {
-                        od[dst + wi] = xd[src_base + wi * CBLK];
+                        dst[drow + wi] = src[src_base + wi * CBLK];
                     }
                 }
             }
         }
     }
-    out
 }
 
 /// Pack weights [O, C, k, k, k] → [Ob, Cb, k, k, k, 8i, 8o] for the blocked
@@ -212,159 +271,166 @@ fn pack_weights(weight: &Tensor, spec: &Conv3dSpec) -> Tensor {
 /// accumulating 8 output channels at once — the MKL-DNN strategy from the
 /// paper.
 pub fn conv3d_blocked(x: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv3dSpec) -> Tensor {
-    let s = x.shape().to_vec();
-    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
-    assert_eq!(c, spec.in_c);
-    let xp = pad_input(x, spec.pad);
-    let (xb, cb) = pack_ncdhw8c(&xp);
-    let wp = pack_weights(weight, spec);
-    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
-    let (od, oh, ow) = (spec.out_dim(d), spec.out_dim(h), spec.out_dim(w));
-    let k = spec.k;
-    let ob = spec.out_c.div_ceil(CBLK);
-    let mut out_b = Tensor::zeros(&[n, ob, od, oh, ow, CBLK]);
-    let xd = xb.data();
-    let wd = wp.data();
-    let block_spatial = od * oh * ow * CBLK;
-    let kern = Kernels::get();
-    let op = SendPtr::new(out_b.data_mut().as_mut_ptr());
-    pool::run(n * ob, &|chunk_idx| {
-        // SAFETY: each task owns one disjoint [OD, OH, OW, 8] output chunk.
-        let ochunk = unsafe {
-            std::slice::from_raw_parts_mut(op.get().add(chunk_idx * block_spatial), block_spatial)
-        };
-        let ni = chunk_idx / ob;
-        let obi = chunk_idx % ob;
-        // Initialize with bias.
-        for v in ochunk.chunks_mut(CBLK) {
-            for (r, vv) in v.iter_mut().enumerate() {
-                let oc = obi * CBLK + r;
-                *vv = if oc < spec.out_c { bias[oc] } else { 0.0 };
-            }
-        }
-        for cbi in 0..cb {
-            for kz in 0..k {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let wbase = ((((obi * cb + cbi) * k + kz) * k + ky) * k + kx) * CBLK * CBLK;
-                        let wtile = &wd[wbase..wbase + CBLK * CBLK];
-                        for zo in 0..od {
-                            let zrow = ((ni * cb + cbi) * pd + zo + kz) * ph;
-                            for yo in 0..oh {
-                                let xrow = ((zrow + yo + ky) * pw + kx) * CBLK;
-                                let orow = (zo * oh + yo) * ow * CBLK;
-                                // 8×8 micro-kernel over the whole output row:
-                                // ov[xo*8+o] += iv[xo*8+i] * wtile[i*8+o].
-                                kern.conv_row(
-                                    &mut ochunk[orow..orow + ow * CBLK],
-                                    &xd[xrow..xrow + ow * CBLK],
-                                    wtile,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    // Unpack [N, Ob, OD, OH, OW, 8] → [N, O, OD, OH, OW].
-    let packed = out_b.reshape(&[n, ob, od, oh, ow, CBLK]);
-    unpack_ncdhw8c(&packed, spec.out_c)
+    blocked_forward(x, weight, bias, spec, CHUNK_FLOATS)
 }
 
-/// Gradient of the convolution w.r.t. its input.
-///
-/// `grad_out`: [N, O, OD, OH, OW] → returns [N, C, D, H, W].
-pub fn conv3d_backward_data(
-    grad_out: &Tensor,
+/// [`conv3d_blocked`] packing `chunk_floats` floats of images at a time.
+fn blocked_forward(
+    x: &Tensor,
     weight: &Tensor,
+    bias: &[f32],
     spec: &Conv3dSpec,
-    in_dims: (usize, usize, usize),
+    chunk_floats: usize,
 ) -> Tensor {
-    let (d, h, w) = in_dims;
-    let s = grad_out.shape().to_vec();
-    let (n, o, od, oh, ow) = (s[0], s[1], s[2], s[3], s[4]);
-    assert_eq!(o, spec.out_c);
+    let s = x.shape();
+    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
+    assert_eq!(c, spec.in_c);
+    assert_eq!(weight.shape(), &[spec.out_c, c, spec.k, spec.k, spec.k]);
+    assert_eq!(bias.len(), spec.out_c);
+    let wp = pack_weights(weight, spec);
+    let wd = wp.data();
+    let (od, oh, ow) = (spec.out_dim(d), spec.out_dim(h), spec.out_dim(w));
     let k = spec.k;
-    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
-    let c = spec.in_c;
-    let gd = grad_out.data();
-    let wd = weight.data();
-    // Accumulate into a padded gradient, then crop.
-    let mut gpad = Tensor::zeros(&[n, c, pd, ph, pw]);
-    let per_image = c * pd * ph * pw;
-    let gp = SendPtr::new(gpad.data_mut().as_mut_ptr());
-    pool::run(n, &|ni| {
-        // SAFETY: each task owns one disjoint per-image gradient chunk.
-        let gimg =
-            unsafe { std::slice::from_raw_parts_mut(gp.get().add(ni * per_image), per_image) };
-        for oc in 0..o {
-            for zo in 0..od {
-                for yo in 0..oh {
-                    let grow = (((ni * o + oc) * od + zo) * oh + yo) * ow;
-                    for xo in 0..ow {
-                        let g = gd[grow + xo];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..c {
-                            for kz in 0..k {
-                                for ky in 0..k {
-                                    let wbase = ((((oc * c) + ci) * k + kz) * k + ky) * k;
-                                    let xbase = (((ci * pd) + zo + kz) * ph + yo + ky) * pw + xo;
-                                    for kx in 0..k {
-                                        gimg[xbase + kx] += g * wd[wbase + kx];
+    let (cb, ob) = (c.div_ceil(CBLK), spec.out_c.div_ceil(CBLK));
+    let block_spatial = od * oh * ow * CBLK;
+    let out_image = spec.out_c * od * oh * ow;
+    let mut out = Tensor::zeros(&[n, spec.out_c, od, oh, ow]);
+    let kern = Kernels::get();
+    let in_image = cb * (d + 2 * spec.pad) * (h + 2 * spec.pad) * (w + 2 * spec.pad) * CBLK;
+    with_scratch(|xb, out_b| {
+        for images in image_chunks(n, in_image.max(ob * block_spatial), chunk_floats) {
+            let (n0, nc) = (images.start, images.len());
+            let (_, [pd, ph, pw]) = pack_padded_into(x, images, spec.pad, xb);
+            out_b.clear();
+            out_b.resize(nc * ob * block_spatial, 0.0);
+            let xd = &xb[..];
+            let op = SendPtr::new(out_b.as_mut_ptr());
+            pool::run(nc * ob, &|chunk_idx| {
+                // SAFETY: each task owns one disjoint [OD, OH, OW, 8] output chunk.
+                let ochunk = unsafe {
+                    std::slice::from_raw_parts_mut(
+                        op.get().add(chunk_idx * block_spatial),
+                        block_spatial,
+                    )
+                };
+                let ni = chunk_idx / ob;
+                let obi = chunk_idx % ob;
+                // Initialize with bias.
+                for v in ochunk.chunks_mut(CBLK) {
+                    for (r, vv) in v.iter_mut().enumerate() {
+                        let oc = obi * CBLK + r;
+                        *vv = if oc < spec.out_c { bias[oc] } else { 0.0 };
+                    }
+                }
+                for cbi in 0..cb {
+                    for kz in 0..k {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let wbase =
+                                    ((((obi * cb + cbi) * k + kz) * k + ky) * k + kx) * CBLK * CBLK;
+                                let wtile = &wd[wbase..wbase + CBLK * CBLK];
+                                for zo in 0..od {
+                                    let zrow = ((ni * cb + cbi) * pd + zo + kz) * ph;
+                                    for yo in 0..oh {
+                                        let xrow = ((zrow + yo + ky) * pw + kx) * CBLK;
+                                        let orow = (zo * oh + yo) * ow * CBLK;
+                                        // 8×8 micro-kernel over the whole output row:
+                                        // ov[xo*8+o] += iv[xo*8+i] * wtile[i*8+o].
+                                        kern.conv_row(
+                                            &mut ochunk[orow..orow + ow * CBLK],
+                                            &xd[xrow..xrow + ow * CBLK],
+                                            wtile,
+                                        );
                                     }
                                 }
                             }
                         }
                     }
                 }
-            }
+            });
+            let dst = &mut out.data_mut()[n0 * out_image..(n0 + nc) * out_image];
+            unpack_into(out_b, ob, [od, oh, ow], spec.out_c, dst);
         }
     });
-    // Crop padding.
-    if spec.pad == 0 {
-        return gpad.reshape(&[n, c, d, h, w]);
-    }
-    let mut out = Tensor::zeros(&[n, c, d, h, w]);
-    let gp = gpad.data();
-    let odp = out.data_mut();
-    for ni in 0..n {
+    out
+}
+
+/// Gradient of the convolution w.r.t. its input.
+///
+/// `grad_out`: [N, O, OD, OH, OW] → returns [N, C, D, H, W].
+///
+/// The input gradient of a stride-1 convolution is itself a convolution:
+/// `grad_out` padded by `k − 1 − pad`, correlated with the weights with
+/// input and output channels swapped and every tap flipped. So this runs
+/// [`conv3d_blocked`], bit for bit the forward kernel, with no scatter and
+/// no sparsity skip: a non-finite weight or upstream value reaches every
+/// input voxel it touches. Requires `pad < k` (the padding every spec in
+/// the tree uses, "same" convolution, is `(k − 1) / 2`); a wider pad would
+/// need a negative padding, i.e. a crop of `grad_out`.
+pub fn conv3d_backward_data(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    spec: &Conv3dSpec,
+    in_dims: (usize, usize, usize),
+) -> Tensor {
+    assert!(spec.pad < spec.k, "conv3d_backward_data needs pad < k, got {spec:?}");
+    let s = grad_out.shape();
+    assert_eq!(s[1], spec.out_c);
+    let (o, c, k) = (spec.out_c, spec.in_c, spec.k);
+    let taps = k * k * k;
+    // Transposed, flipped weights: wt[ci, oc, t] = w[oc, ci, taps − 1 − t].
+    let wd = weight.data();
+    let mut wt = Tensor::zeros(&[c, o, k, k, k]);
+    let wtd = wt.data_mut();
+    for oc in 0..o {
         for ci in 0..c {
-            for di in 0..d {
-                for hi in 0..h {
-                    let dst = ((((ni * c) + ci) * d + di) * h + hi) * w;
-                    let src = ((((ni * c) + ci) * pd + di + spec.pad) * ph + hi + spec.pad) * pw
-                        + spec.pad;
-                    odp[dst..dst + w].copy_from_slice(&gp[src..src + w]);
-                }
+            for t in 0..taps {
+                wtd[(ci * o + oc) * taps + taps - 1 - t] = wd[(oc * c + ci) * taps + t];
             }
         }
     }
-    out
+    let spec_t = Conv3dSpec { in_c: o, out_c: c, k, pad: k - 1 - spec.pad };
+    let gx = conv3d_blocked(grad_out, &wt, &vec![0.0; c], &spec_t);
+    debug_assert_eq!(&gx.shape()[2..], &[in_dims.0, in_dims.1, in_dims.2]);
+    gx
 }
 
 /// Gradients of the convolution w.r.t. weights and bias.
 ///
 /// Returns (`grad_weight` [O, C, k, k, k], `grad_bias` [O]).
+///
+/// The weight gradient runs on [`Kernels::conv_wgrad_row`] over the padded
+/// NCDHW8c input and the NCDHW8c `grad_out`: one pool task per
+/// (out-block, in-block, tap) 8×8 tile, each summing its outer products
+/// over `(n, z, y, x)` in that fixed order. Every tile element is a single
+/// chain in a shape-determined order, so the result is bit-identical for
+/// any backend and thread count, with no cross-task reduction.
 pub fn conv3d_backward_weights(
     x: &Tensor,
     grad_out: &Tensor,
     spec: &Conv3dSpec,
 ) -> (Tensor, Vec<f32>) {
-    let s = x.shape().to_vec();
-    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
-    let so = grad_out.shape().to_vec();
-    let (_, o, od, oh, ow) = (so[0], so[1], so[2], so[3], so[4]);
+    blocked_backward_weights(x, grad_out, spec, CHUNK_FLOATS)
+}
+
+/// [`conv3d_backward_weights`] packing `chunk_floats` floats of images at a
+/// time.
+fn blocked_backward_weights(
+    x: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv3dSpec,
+    chunk_floats: usize,
+) -> (Tensor, Vec<f32>) {
+    let s = x.shape();
+    let (n, c) = (s[0], s[1]);
+    let so = grad_out.shape();
+    let (o, od, oh, ow) = (so[1], so[2], so[3], so[4]);
+    assert_eq!(c, spec.in_c);
+    assert_eq!(so[..2], [n, spec.out_c]);
+    assert_eq!([od, oh, ow], [spec.out_dim(s[2]), spec.out_dim(s[3]), spec.out_dim(s[4])]);
     let k = spec.k;
-    let xp = pad_input(x, spec.pad);
-    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
-    let xd = xp.data();
+    let taps = k * k * k;
     let gd = grad_out.data();
-    // Parallelize over output channels: each owns an independent weight slab.
-    let wlen = c * k * k * k;
-    let mut gw = Tensor::zeros(&[o, c, k, k, k]);
     let mut gb = vec![0.0f32; o];
     let gbp = SendPtr::new(gb.as_mut_ptr());
     pool::run(o, &|oc| {
@@ -378,36 +444,58 @@ pub fn conv3d_backward_weights(
         // SAFETY: each task writes one distinct element.
         unsafe { *gbp.get().add(oc) = acc };
     });
-    let gwp = SendPtr::new(gw.data_mut().as_mut_ptr());
-    pool::run(o, &|oc| {
-        // SAFETY: each task owns one disjoint per-channel weight slab.
-        let wslab = unsafe { std::slice::from_raw_parts_mut(gwp.get().add(oc * wlen), wlen) };
-        for ni in 0..n {
-            for zo in 0..od {
-                for yo in 0..oh {
-                    let grow = (((ni * o + oc) * od + zo) * oh + yo) * ow;
-                    for xo in 0..ow {
-                        let g = gd[grow + xo];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..c {
-                            for kz in 0..k {
-                                for ky in 0..k {
-                                    let wbase = (((ci * k) + kz) * k + ky) * k;
-                                    let xbase =
-                                        ((((ni * c) + ci) * pd + zo + kz) * ph + yo + ky) * pw + xo;
-                                    for kx in 0..k {
-                                        wslab[wbase + kx] += g * xd[xbase + kx];
-                                    }
-                                }
-                            }
+    let (ob, cb) = (o.div_ceil(CBLK), c.div_ceil(CBLK));
+    // Tiles in the packed-weight layout [Ob, Cb, k, k, k, 8i, 8o].
+    let mut tiles = vec![0.0f32; ob * cb * taps * CBLK * CBLK];
+    let kern = Kernels::get();
+    let (pd, ph, pw) = (s[2] + 2 * spec.pad, s[3] + 2 * spec.pad, s[4] + 2 * spec.pad);
+    let per_image = (cb * pd * ph * pw).max(ob * od * oh * ow) * CBLK;
+    with_scratch(|xb, gpk| {
+        // Image chunks continue every tile's chain where the previous
+        // chunk left it, so the chunking never changes a bit.
+        for images in image_chunks(n, per_image, chunk_floats) {
+            let nc = images.len();
+            pack_padded_into(x, images.clone(), spec.pad, xb);
+            pack_padded_into(grad_out, images, 0, gpk);
+            let (xd, gpd) = (&xb[..], &gpk[..]);
+            let tp = SendPtr::new(tiles.as_mut_ptr());
+            pool::run(ob * cb * taps, &|t| {
+                // SAFETY: each task owns one disjoint 8×8 tile.
+                let tile = unsafe {
+                    std::slice::from_raw_parts_mut(tp.get().add(t * CBLK * CBLK), CBLK * CBLK)
+                };
+                let (obi, cbi, tap) = (t / (cb * taps), t / taps % cb, t % taps);
+                let (kz, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+                for ni in 0..nc {
+                    for zo in 0..od {
+                        let xz = ((ni * cb + cbi) * pd + zo + kz) * ph;
+                        let gz = ((ni * ob + obi) * od + zo) * oh;
+                        for yo in 0..oh {
+                            let xrow = ((xz + yo + ky) * pw + kx) * CBLK;
+                            let grow = (gz + yo) * ow * CBLK;
+                            kern.conv_wgrad_row(
+                                tile,
+                                &xd[xrow..xrow + ow * CBLK],
+                                &gpd[grow..grow + ow * CBLK],
+                            );
                         }
                     }
                 }
-            }
+            });
         }
     });
+    let mut gw = Tensor::zeros(&[o, c, k, k, k]);
+    let gwd = gw.data_mut();
+    for oc in 0..o {
+        let (obi, obr) = (oc / CBLK, oc % CBLK);
+        for ci in 0..c {
+            let (cbi, cbr) = (ci / CBLK, ci % CBLK);
+            for tap in 0..taps {
+                gwd[(oc * c + ci) * taps + tap] =
+                    tiles[(((obi * cb + cbi) * taps + tap) * CBLK + cbr) * CBLK + obr];
+            }
+        }
+    }
     (gw, gb)
 }
 
@@ -558,6 +646,48 @@ mod tests {
         // Bias gradient = number of output voxels per channel (grad_out = 1).
         let per_chan = (y.numel() / 2) as f32;
         assert!((gb[0] - per_chan).abs() < 1e-3);
+    }
+
+    #[test]
+    fn image_chunking_never_changes_a_bit() {
+        // One image per chunk vs the whole batch in one chunk: every output
+        // and every weight-gradient chain sees the same values in the same
+        // order.
+        for &(c, o) in &[(1usize, 8usize), (10, 5)] {
+            let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad: 1 };
+            let x = rand_tensor(&[5, c, 4, 5, 6], 51 + c as u64);
+            let wt = rand_tensor(&[o, c, 3, 3, 3], 52);
+            let g = rand_tensor(&[5, o, 4, 5, 6], 53);
+            let bias: Vec<f32> = (0..o).map(|i| i as f32 * 0.1).collect();
+            let whole = blocked_forward(&x, &wt, &bias, &spec, usize::MAX);
+            let split = blocked_forward(&x, &wt, &bias, &spec, 1);
+            assert_eq!(whole.data(), split.data(), "forward c={c} o={o}");
+            let whole = blocked_backward_weights(&x, &g, &spec, usize::MAX);
+            let split = blocked_backward_weights(&x, &g, &spec, 1);
+            assert_eq!(whole, split, "weight gradient c={c} o={o}");
+        }
+    }
+
+    #[test]
+    fn non_finite_values_propagate_through_zero_upstream_gradients() {
+        // 0 × NaN is NaN: a poisoned voxel must show in the weight gradient
+        // of every tap that reads it, even where no gradient flows back.
+        let spec = Conv3dSpec { in_c: 2, out_c: 3, k: 3, pad: 1 };
+        let mut x = rand_tensor(&[1, 2, 4, 4, 4], 41);
+        x.data_mut()[64 + (4 + 1) * 4 + 1] = f32::NAN; // channel 1, voxel (1, 1, 1)
+        let zeros = Tensor::zeros(&[1, 3, 4, 4, 4]);
+        let (gw, gb) = conv3d_backward_weights(&x, &zeros, &spec);
+        for (i, v) in gw.data().iter().enumerate() {
+            let channel = i / 27 % 2;
+            assert_eq!(v.is_nan(), channel == 1, "grad_weight[{i}] = {v}");
+        }
+        assert_eq!(gb, vec![0.0; 3]);
+        // Likewise a poisoned weight reaches the input gradient.
+        let mut wt = rand_tensor(&[3, 2, 3, 3, 3], 42);
+        wt.data_mut()[13] = f32::INFINITY;
+        let gx = conv3d_backward_data(&zeros, &wt, &spec, (4, 4, 4));
+        assert!(gx.data()[..64].iter().all(|v| v.is_nan()), "input channel 0 is poisoned");
+        assert!(gx.data()[64..].iter().all(|&v| v == 0.0), "input channel 1 is clean");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! The paper's training throughput rests on explicitly vectorized kernels
 //! (§4.4.2: the MKL-DNN AVX-512 path). This module is the etalumis-rs
 //! equivalent on stable Rust: every hot inner loop (GEMM micro-kernel, dot
-//! products, the Conv3D 8×8 tile kernel, sigmoid/tanh sweeps) exists twice —
+//! products, the Conv3D 8×8 tile kernels, forward and weight gradient,
+//! sigmoid/tanh sweeps) exists twice —
 //!
 //! * an **AVX2+FMA** path using `std::arch` intrinsics, selected at runtime
 //!   behind [`is_x86_feature_detected!`], and
@@ -279,6 +280,24 @@ impl Kernels {
             Backend::Scalar => scalar_conv_row_dispatch(ov, iv, wtile),
         }
     }
+
+    /// Conv3D weight-gradient row: an 8×8 outer-product accumulate over the
+    /// row's positions, `tile[i*8 + o] += iv[xo*8 + i] * gv[xo*8 + o]`,
+    /// `xo` ascending (fused). Each tile element is one chain in position
+    /// order, so splitting a sum into consecutive rows does not change it.
+    pub fn conv_wgrad_row(&self, tile: &mut [f32], iv: &[f32], gv: &[f32]) {
+        debug_assert_eq!(tile.len(), 64);
+        debug_assert_eq!(iv.len(), gv.len());
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2Fma` is only selected when `avx2_available()`
+            // confirmed AVX2+FMA on this CPU (see `active_backend`).
+            Backend::Avx2Fma => unsafe { avx2::conv_wgrad_row(tile, iv, gv) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Avx2Fma => scalar_conv_wgrad_row_dispatch(tile, iv, gv),
+            Backend::Scalar => scalar_conv_wgrad_row_dispatch(tile, iv, gv),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -469,6 +488,38 @@ fn scalar_conv_row_dispatch(ov: &mut [f32], iv: &[f32], wtile: &[f32]) {
         return;
     }
     scalar_conv_row_impl(ov, iv, wtile)
+}
+
+#[inline(always)]
+fn scalar_conv_wgrad_row_impl(tile: &mut [f32], iv: &[f32], gv: &[f32]) {
+    let mut acc = [0.0f32; 64];
+    acc.copy_from_slice(tile);
+    for (i8, g8) in iv.chunks_exact(8).zip(gv.chunks_exact(8)) {
+        for (arow, &ivv) in acc.chunks_exact_mut(8).zip(i8) {
+            for l in 0..8 {
+                arow[l] = ivv.mul_add(g8[l], arow[l]);
+            }
+        }
+    }
+    tile.copy_from_slice(&acc);
+}
+
+#[cfg(target_arch = "x86_64")]
+// SAFETY: callers must ensure FMA is supported (every call site checks
+// `fma_available` first).
+#[target_feature(enable = "fma")]
+unsafe fn scalar_conv_wgrad_row_fma(tile: &mut [f32], iv: &[f32], gv: &[f32]) {
+    scalar_conv_wgrad_row_impl(tile, iv, gv)
+}
+
+fn scalar_conv_wgrad_row_dispatch(tile: &mut [f32], iv: &[f32], gv: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: FMA support was just verified.
+        unsafe { scalar_conv_wgrad_row_fma(tile, iv, gv) };
+        return;
+    }
+    scalar_conv_wgrad_row_impl(tile, iv, gv)
 }
 
 // --- shared polynomial exp (Cephes-style expf) -----------------------------
@@ -830,6 +881,32 @@ mod avx2 {
             _mm256_storeu_ps(op.add(xo * 8), acc);
         }
     }
+
+    // SAFETY: callers must ensure AVX2+FMA are supported (the dispatch
+    // wrappers gate on `avx2_available`); slice-length preconditions are
+    // checked by the safe `Kernels` entry points.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn conv_wgrad_row(tile: &mut [f32], iv: &[f32], gv: &[f32]) {
+        let positions = iv.len() / 8;
+        let tp = tile.as_mut_ptr();
+        let ip = iv.as_ptr();
+        let gp = gv.as_ptr();
+        // One register per input lane, each holding the 8 output lanes.
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_ps(tp.add(i * 8));
+        }
+        for xo in 0..positions {
+            let g = _mm256_loadu_ps(gp.add(xo * 8));
+            let ibase = ip.add(xo * 8);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(_mm256_broadcast_ss(&*ibase.add(i)), g, *a);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(tp.add(i * 8), *a);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -923,6 +1000,15 @@ mod tests {
                 let mut ov = base.clone();
                 kern.conv_row(&mut ov, &iv, &w);
                 ov
+            })
+        };
+        assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma));
+        let gv = rand_vec(11 * 8, 9);
+        let run = |be: Backend| {
+            with_backend(be, |kern| {
+                let mut tile = w.clone();
+                kern.conv_wgrad_row(&mut tile, &iv, &gv);
+                tile
             })
         };
         assert_eq!(run(Backend::Scalar), run(Backend::Avx2Fma));

@@ -1,6 +1,8 @@
 //! Property tests: kernel results are bit-identical across dispatch choice
 //! (AVX2 vs scalar fallback) and across serial vs pooled-parallel execution,
 //! over arbitrary shapes — including non-multiples of 8 and empty dims.
+//! The Conv3d backward kernels are also checked against naive scatter-loop
+//! references.
 
 use etalumis_tensor::gemm::{
     matmul, matmul_a_bt, matmul_acc_into, matmul_at_b, matmul_into, matmul_prepacked_into,
@@ -64,6 +66,123 @@ fn prepacked_matches_packing(m: usize, k: usize, n: usize, seed: u64) -> Vec<Vec
     assert_eq!(bits(&plain), bits(&pre), "matmul_into vs prepacked {m}x{k}x{n}");
     assert_eq!(bits(&plain_acc), bits(&pre_acc), "matmul_acc_into vs prepacked {m}x{k}x{n}");
     vec![plain, pre, plain_acc, pre_acc]
+}
+
+/// Zero-pad every spatial side of an NCDHW tensor by `pad`.
+fn pad_ncdhw(x: &Tensor, pad: usize) -> Tensor {
+    let s = x.shape();
+    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
+    let (pd, ph, pw) = (d + 2 * pad, h + 2 * pad, w + 2 * pad);
+    let mut out = Tensor::zeros(&[n, c, pd, ph, pw]);
+    let od = out.data_mut();
+    for ni in 0..n {
+        for ci in 0..c {
+            for di in 0..d {
+                for hi in 0..h {
+                    let src = ((((ni * c) + ci) * d + di) * h + hi) * w;
+                    let dst = ((((ni * c) + ci) * pd + di + pad) * ph + hi + pad) * pw + pad;
+                    od[dst..dst + w].copy_from_slice(&x.data()[src..src + w]);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Naive input gradient: scatter every output gradient through the
+/// weights into a padded buffer, then crop.
+fn naive_backward_data(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    spec: &Conv3dSpec,
+    (d, h, w): (usize, usize, usize),
+) -> Tensor {
+    let s = grad_out.shape();
+    let (n, o, od, oh, ow) = (s[0], s[1], s[2], s[3], s[4]);
+    let (c, k, pad) = (spec.in_c, spec.k, spec.pad);
+    let (pd, ph, pw) = (d + 2 * pad, h + 2 * pad, w + 2 * pad);
+    let (gd, wd) = (grad_out.data(), weight.data());
+    let mut gpad = vec![0.0f32; n * c * pd * ph * pw];
+    for ni in 0..n {
+        let gimg = &mut gpad[ni * c * pd * ph * pw..(ni + 1) * c * pd * ph * pw];
+        for oc in 0..o {
+            for zo in 0..od {
+                for yo in 0..oh {
+                    let grow = (((ni * o + oc) * od + zo) * oh + yo) * ow;
+                    for xo in 0..ow {
+                        let g = gd[grow + xo];
+                        for ci in 0..c {
+                            for kz in 0..k {
+                                for ky in 0..k {
+                                    let wbase = ((((oc * c) + ci) * k + kz) * k + ky) * k;
+                                    let xbase = (((ci * pd) + zo + kz) * ph + yo + ky) * pw + xo;
+                                    for kx in 0..k {
+                                        gimg[xbase + kx] += g * wd[wbase + kx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_fn(&[n, c, d, h, w], |i| {
+        let (xi, rest) = (i % w, i / w);
+        let (yi, rest) = (rest % h, rest / h);
+        let (zi, nc) = (rest % d, rest / d);
+        gpad[((nc * pd + zi + pad) * ph + yi + pad) * pw + xi + pad]
+    })
+}
+
+/// Naive weight and bias gradients: scatter every output gradient times
+/// its input window into the weight slab of its output channel.
+fn naive_backward_weights(x: &Tensor, grad_out: &Tensor, spec: &Conv3dSpec) -> (Tensor, Vec<f32>) {
+    let s = x.shape();
+    let (n, c, d, h, w) = (s[0], s[1], s[2], s[3], s[4]);
+    let so = grad_out.shape();
+    let (o, od, oh, ow) = (so[1], so[2], so[3], so[4]);
+    let k = spec.k;
+    let (pd, ph, pw) = (d + 2 * spec.pad, h + 2 * spec.pad, w + 2 * spec.pad);
+    let xp = pad_ncdhw(x, spec.pad);
+    let (xd, gd) = (xp.data(), grad_out.data());
+    let wlen = c * k * k * k;
+    let mut gw = Tensor::zeros(&[o, c, k, k, k]);
+    let mut gb = vec![0.0f32; o];
+    for oc in 0..o {
+        let wslab = &mut gw.data_mut()[oc * wlen..(oc + 1) * wlen];
+        for ni in 0..n {
+            for zo in 0..od {
+                for yo in 0..oh {
+                    let grow = (((ni * o + oc) * od + zo) * oh + yo) * ow;
+                    for xo in 0..ow {
+                        let g = gd[grow + xo];
+                        gb[oc] += g;
+                        for ci in 0..c {
+                            for kz in 0..k {
+                                for ky in 0..k {
+                                    let wbase = (((ci * k) + kz) * k + ky) * k;
+                                    let xbase =
+                                        ((((ni * c) + ci) * pd + zo + kz) * ph + yo + ky) * pw + xo;
+                                    for kx in 0..k {
+                                        wslab[wbase + kx] += g * xd[xbase + kx];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (gw, gb)
+}
+
+fn assert_close(got: &[f32], want: &[f32], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()), "{ctx}: element {i}: {a} vs naive {b}");
+    }
 }
 
 proptest! {
@@ -147,6 +266,41 @@ proptest! {
             || conv::conv3d_blocked(&x, &wt, &bias, &spec).into_data(),
             &format!("conv3d_blocked c={c} o={o} pad={pad}"),
         );
+    }
+
+    #[test]
+    fn conv3d_backward_bit_identical_across_backends_and_matches_naive(
+        c in 1usize..12,
+        o in 1usize..12,
+        pad in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let _g = KERNEL_CONFIG_LOCK.lock().unwrap();
+        let spec = Conv3dSpec { in_c: c, out_c: o, k: 3, pad };
+        let (d, h, w) = (4, 5, 6);
+        let x = rand_tensor(&[2, c, d, h, w], seed);
+        let wt = rand_tensor(&[o, c, 3, 3, 3], seed ^ 0x55);
+        let g = rand_tensor(&[2, o, spec.out_dim(d), spec.out_dim(h), spec.out_dim(w)], seed ^ 0x77);
+        let ctx = format!("c={c} o={o} pad={pad}");
+        assert_backend_identical(
+            || conv::conv3d_backward_data(&g, &wt, &spec, (d, h, w)).into_data(),
+            &format!("conv3d_backward_data {ctx}"),
+        );
+        assert_backend_identical(
+            || {
+                let (gw, gb) = conv::conv3d_backward_weights(&x, &g, &spec);
+                (gw.into_data(), gb)
+            },
+            &format!("conv3d_backward_weights {ctx}"),
+        );
+        let gx = conv::conv3d_backward_data(&g, &wt, &spec, (d, h, w));
+        assert_eq!(gx.shape(), &[2, c, d, h, w]);
+        let gx_ref = naive_backward_data(&g, &wt, &spec, (d, h, w));
+        assert_close(gx.data(), gx_ref.data(), &format!("backward data {ctx}"));
+        let (gw, gb) = conv::conv3d_backward_weights(&x, &g, &spec);
+        let (gw_ref, gb_ref) = naive_backward_weights(&x, &g, &spec);
+        assert_close(gw.data(), gw_ref.data(), &format!("backward weights {ctx}"));
+        assert_close(&gb, &gb_ref, &format!("backward bias {ctx}"));
     }
 
     #[test]

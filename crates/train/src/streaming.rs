@@ -268,4 +268,68 @@ mod tests {
         assert_eq!(report.losses, report_b.losses);
         assert_eq!(params(&mut net_a), params(&mut net_b));
     }
+
+    /// `n` records of the branch taken with `controlled` sample statements
+    /// (2: branch 0, one trace type; 3: branch 1, one more address).
+    fn records_of_branch(controlled: usize, n: usize) -> Vec<TraceRecord> {
+        records(400, 40).into_iter().filter(|r| r.num_controlled() == controlled).take(n).collect()
+    }
+
+    #[test]
+    fn an_all_dropped_step_leaves_the_weights_untouched() {
+        // Warm-up (and freeze) on branch-0 traces only: every later branch-1
+        // release references an unknown address and is dropped whole. Such a
+        // step must not move Adam's moments or the weights, nor log a loss.
+        let known = records_of_branch(2, 16);
+        let unknown = records_of_branch(3, 16);
+        assert_eq!((known.len(), unknown.len()), (16, 16));
+        let both: Vec<TraceRecord> = known.iter().chain(&unknown).cloned().collect();
+
+        // Single rank.
+        let cfg = StreamTrainConfig {
+            batch: 8,
+            spill_after: 64,
+            warmup: 16,
+            freeze_after_warmup: true,
+            max_steps: None,
+        };
+        let tel = etalumis_telemetry::Telemetry::enabled();
+        let mut with_empty = small_trainer(4).with_telemetry(tel.clone());
+        let report = train_stream(&mut with_empty, &feed_channel(both.clone(), 0), &cfg);
+        let mut known_only = small_trainer(4);
+        let reference = train_stream(&mut known_only, &feed_channel(known.clone(), 0), &cfg);
+        assert_eq!(report.log.losses.len(), 2);
+        assert!(report.log.losses.iter().all(|(_, l)| l.is_finite()));
+        assert_eq!(report.log.losses, reference.log.losses);
+        assert_eq!(params(&mut with_empty.net), params(&mut known_only.net));
+        let events = tel.drain();
+        let counter = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.name == name)
+                .map(|e| match e.kind {
+                    etalumis_telemetry::EventKind::Counter { delta } => delta,
+                    _ => 0,
+                })
+                .sum::<u64>()
+        };
+        assert_eq!(counter("train.empty_steps"), 2);
+        assert_eq!(counter("train.steps"), 2);
+
+        // Two ranks: iteration 0 trains on the two branch-0 releases, and
+        // iteration 1 hands each rank a dropped branch-1 release.
+        let dist = DistConfig { ranks: 2, lr: LrSchedule::Constant(2e-3), ..Default::default() };
+        let run = |recs: &[TraceRecord]| {
+            let chan = feed_channel(recs.to_vec(), 0);
+            let source =
+                BatchSource::Stream { channel: &chan, batch: 8, spill_after: 64, warmup: 16 };
+            let (mut net, report) =
+                train_distributed(source, IcConfig::small([1, 1, 1], 4), &dist).unwrap();
+            (report.losses, params(&mut net))
+        };
+        let (losses, weights) = run(&both);
+        assert_eq!(losses.len(), 1);
+        assert!(losses[0].is_finite());
+        assert_eq!((losses, weights), run(&known));
+    }
 }

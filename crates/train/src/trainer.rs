@@ -200,7 +200,8 @@ impl<O: Optimizer> Trainer<O> {
     pub fn step(&mut self, records: &[TraceRecord]) -> StepResult {
         let _step = self.tel.span("train.step");
         let mut res = accumulate_minibatch(&mut self.net, records);
-        self.update(&mut res);
+        let used = res.used;
+        self.update(&mut res, used);
         res
     }
 
@@ -208,7 +209,17 @@ impl<O: Optimizer> Trainer<O> {
     /// distributed rank, the gradient allreduce): the optional gradient
     /// clip, then the optimizer. Records the optimizer time in `res` and
     /// emits the step's `train.*` telemetry.
-    pub fn update(&mut self, res: &mut StepResult) {
+    ///
+    /// `used` is the number of traces the gradients came from, summed over
+    /// ranks. When it is 0 (a frozen net dropped every trace) there is
+    /// nothing to learn from: the step leaves the weights and the optimizer
+    /// state untouched, counts itself in `train.empty_steps`, and returns
+    /// false. Every rank sees the same reduced count, so all skip together.
+    pub fn update(&mut self, res: &mut StepResult, used: usize) -> bool {
+        if used == 0 {
+            self.tel.count("train.empty_steps", 1);
+            return false;
+        }
         if let Some(c) = self.grad_clip {
             clip_grad_norm(&mut self.net, c);
         }
@@ -225,6 +236,7 @@ impl<O: Optimizer> Trainer<O> {
             self.tel.count("train.steps", 1);
             record_kernel_telemetry(&self.tel);
         }
+        true
     }
 
     /// Evaluate mean loss on records without touching the weights.
@@ -271,6 +283,12 @@ impl<O: Optimizer> Trainer<O> {
     /// reduction instead, so every rank leaves at the same synchronization
     /// point, before the update: the replicas stay bit-identical and the
     /// partial round trains nobody.
+    ///
+    /// A step whose minibatch had no used trace on any rank (a frozen net
+    /// dropped them all) is empty: it applies no update (see
+    /// [`Trainer::update`]) and, like the leave round, is left out of the
+    /// loss log, the timings and the communication count, so `max_steps`
+    /// and every per-step figure count optimizer steps only.
     pub(crate) fn run(
         &mut self,
         mut batches: impl Iterator<Item = std::io::Result<Vec<TraceRecord>>>,
@@ -298,7 +316,7 @@ impl<O: Optimizer> Trainer<O> {
             let step_span = self.tel.span("train.step");
             let mut res = accumulate_minibatch(&mut self.net, &records);
             res.timings.batch_read = batch_read.as_secs_f64();
-            let mut loss = res.loss;
+            let (mut loss, mut used) = (res.loss, res.used);
             let mut comm_elems = 0;
             if let Some(seat) = seat {
                 let sync_started = Instant::now();
@@ -315,18 +333,17 @@ impl<O: Optimizer> Trainer<O> {
                 if stats[2] > 0.0 {
                     break;
                 }
-                loss = if stats[1] > 0.0 {
-                    f64::from(stats[0]) / f64::from(stats[1])
-                } else {
-                    f64::NAN
-                };
+                used = stats[1] as usize;
+                loss = f64::from(stats[0]) / f64::from(stats[1]);
             }
-            self.update(&mut res);
+            let stepped = self.update(&mut res, used);
             drop(step_span);
-            run.log.losses.push((run.log.losses.len(), loss));
-            run.log.traces_seen += res.used;
-            run.timings.push(res.timings);
-            run.comm_elems += comm_elems;
+            if stepped {
+                run.log.losses.push((run.log.losses.len(), loss));
+                run.log.traces_seen += res.used;
+                run.timings.push(res.timings);
+                run.comm_elems += comm_elems;
+            }
         }
         run.log.wall_secs = start.elapsed().as_secs_f64();
         run
